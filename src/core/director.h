@@ -115,10 +115,6 @@ class Director {
   /// scheduler of the multi-workflow framework.
   virtual bool HasPendingWork() const;
 
-  /// \brief This director's telemetry frontend (observers can be added
-  /// after Initialize; instruments rebind on every Initialize).
-  obs::WorkflowTelemetry* telemetry() { return &telemetry_; }
-
  protected:
   /// \brief Create a receiver for every channel and register it with both
   /// ends; called from Initialize(). With a capacity plan installed, planned

@@ -42,8 +42,6 @@ Result<size_t> DDFDirector::FireReadyOnce() {
     a->BeginFiring();
     ScopedCurrentActor current_actor(a);
     const Timestamp fire_start = clock_->Now();
-    const int64_t host_t0 =
-        telemetry_.host_timing_active() ? obs::HostMonotonicMicros() : 0;
     CWF_RETURN_NOT_OK(a->Fire());
     size_t emitted = 0;
     CWF_RETURN_NOT_OK(FlushActorOutputs(a, &emitted));
@@ -58,11 +56,9 @@ Result<size_t> DDFDirector::FireReadyOnce() {
     record.actor = a;
     record.consumed = a->firing_context().events_consumed;
     record.emitted = emitted;
-    record.fire_host_us =
-        host_t0 != 0 ? obs::HostMonotonicMicros() - host_t0 : 0;
-    record.cost = record.fire_host_us;
     record.start = fire_start;
     record.end = clock_->Now();
+    record.cost = record.end - record.start;
     const FiringContext& fc = a->firing_context();
     record.wave = fc.valid ? &fc.wave : nullptr;
     telemetry_.RecordFiring(record);

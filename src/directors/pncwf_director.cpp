@@ -230,11 +230,8 @@ Result<Duration> PNCWFDirector::FireOnce(Actor* actor, size_t* consumed,
       obs::ProfilingEnabled() ? telemetry_.ProfileSitesFor(actor)
                               : obs::WorkflowTelemetry::ActorProfileSites{};
 #endif
-  const bool timed = telemetry_.host_timing_active();
   actor->BeginFiring();
   const Timestamp fire_start = clock_->Now();
-  const int64_t host_t0 = timed ? obs::HostMonotonicMicros() : 0;
-  const auto host_start = std::chrono::steady_clock::now();
   {
     CWF_PROFILE_SCOPE(sites.fire);
     CWF_RETURN_NOT_OK(actor->Fire());
@@ -249,11 +246,8 @@ Result<Duration> PNCWFDirector::FireOnce(Actor* actor, size_t* consumed,
            cost_model_->sync_per_event_overhead *
                static_cast<Duration>(*consumed + *emitted);
   } else {
-    cost = std::chrono::duration_cast<std::chrono::microseconds>(
-               std::chrono::steady_clock::now() - host_start)
-               .count();
+    cost = clock_->Now() - fire_start;
   }
-  const int64_t host_t1 = timed ? obs::HostMonotonicMicros() : 0;
   auto cont = [&] {
     CWF_PROFILE_SCOPE(sites.postfire);
     return actor->Postfire();
@@ -267,9 +261,6 @@ Result<Duration> PNCWFDirector::FireOnce(Actor* actor, size_t* consumed,
     record.cost = cost;
     record.consumed = *consumed;
     record.emitted = *emitted;
-    record.fire_host_us = timed ? host_t1 - host_t0 : 0;
-    record.postfire_host_us =
-        timed ? obs::HostMonotonicMicros() - host_t1 : 0;
     record.start = fire_start;
     // The simulated caller advances the virtual clock by `cost` after this
     // returns; stamp the span end where it will land.

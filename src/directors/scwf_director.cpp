@@ -23,10 +23,8 @@ Status SCWFDirector::Initialize(Workflow* workflow, Clock* clock,
   director_iterations_ = 0;
   CWF_RETURN_NOT_OK(Director::Initialize(workflow, clock, cost_model));
   // Fresh statistics per initialization (stale cost/selectivity figures
-  // must not steer the scheduler of a relaunched workflow), re-seated as an
-  // observer of the shared telemetry hook points.
+  // must not steer the scheduler of a relaunched workflow).
   stats_.Initialize(*workflow);
-  telemetry_.AddObserver(&stats_);
   std::vector<Actor*> actors;
   actors.reserve(workflow->actors().size());
   for (const auto& actor : workflow->actors()) {
@@ -86,10 +84,6 @@ Status SCWFDirector::DispatchActor(Actor* actor) {
       obs::ProfilingEnabled() ? telemetry_.ProfileSitesFor(actor)
                               : obs::WorkflowTelemetry::ActorProfileSites{};
 #endif
-  // Per-phase host timing is measured only while metrics are live; the
-  // clock reads vanish entirely when telemetry is compiled out.
-  const bool timed = telemetry_.host_timing_active();
-  const int64_t host_t0 = timed ? obs::HostMonotonicMicros() : 0;
   // Deliver queued windows onto the actor's receiver buffers until its
   // firing precondition holds (one window in the common single-input case).
   bool can_fire = false;
@@ -121,8 +115,6 @@ Status SCWFDirector::DispatchActor(Actor* actor) {
     // Attribute CHECK-fail context (token/record accessors) to this actor.
     ScopedCurrentActor current_actor(actor);
     const Timestamp fire_start = clock_->Now();
-    const int64_t host_t1 = timed ? obs::HostMonotonicMicros() : 0;
-    const auto host_start = std::chrono::steady_clock::now();
     size_t emitted = 0;
     {
       CWF_PROFILE_SCOPE(sites.fire);
@@ -134,11 +126,8 @@ Status SCWFDirector::DispatchActor(Actor* actor) {
       cost = cost_model_->FiringCost(actor->name(), consumed, emitted);
       clock_->AdvanceBy(cost + cost_model_->scheduled_dispatch_overhead);
     } else {
-      cost = std::chrono::duration_cast<std::chrono::microseconds>(
-                 std::chrono::steady_clock::now() - host_start)
-                 .count();
+      cost = clock_->Now() - fire_start;
     }
-    const int64_t host_t2 = timed ? obs::HostMonotonicMicros() : 0;
     actor->IncrementFirings();
     ++total_firings_;
     fired = true;
@@ -154,6 +143,7 @@ Status SCWFDirector::DispatchActor(Actor* actor) {
         }
       }
     }
+    stats_.OnQueueDepth(actor, high_water);
     telemetry_.RecordQueueDepth(actor, high_water);
     auto cont = [&] {
       CWF_PROFILE_SCOPE(sites.postfire);
@@ -167,13 +157,11 @@ Status SCWFDirector::DispatchActor(Actor* actor) {
     record.cost = cost;
     record.consumed = consumed;
     record.emitted = emitted;
-    record.prefire_host_us = timed ? host_t1 - host_t0 : 0;
-    record.fire_host_us = timed ? host_t2 - host_t1 : 0;
-    record.postfire_host_us = timed ? obs::HostMonotonicMicros() - host_t2 : 0;
     record.start = fire_start;
     record.end = clock_->Now();
     const FiringContext& fc = actor->firing_context();
     record.wave = fc.valid ? &fc.wave : nullptr;
+    stats_.OnFiring(actor, cost, consumed, emitted, record.end);
     telemetry_.RecordFiring(record);
     if (!cont.value()) {
       MarkHalted(actor);
@@ -208,14 +196,9 @@ Status SCWFDirector::Run(Timestamp until) {
         CWF_RETURN_NOT_OK(FireTimeouts(clock_->Now()));
         next = scheduler_->GetNextActor();
         if (next != nullptr &&
-            (telemetry_.host_timing_active() || obs::TracingEnabled())) {
-          obs::SchedulerDecision decision;
-          decision.policy = scheduler_->name();
-          decision.chosen = next;
-          decision.actor_queued_windows = scheduler_->QueuedWindows(next);
-          decision.total_queued_events = scheduler_->TotalQueuedEvents();
-          decision.now = clock_->Now();
-          telemetry_.RecordDecision(decision);
+            (telemetry_.metrics_active() || obs::TracingEnabled())) {
+          telemetry_.RecordDecision(next, scheduler_->TotalQueuedEvents(),
+                                    clock_->Now());
         }
       }
       if (next == nullptr) {

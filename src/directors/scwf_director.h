@@ -51,11 +51,10 @@ class SCWFDirector : public Director, public SchedulerHost {
   Timestamp Now() const override { return clock_->Now(); }
   bool SourceHasData(const Actor* actor) const override;
   ActorStatistics* statistics() override { return &stats_; }
-  /// Arrival notifications route through telemetry so the statistics module
-  /// (a registered observer) and the metrics layer see the same stream.
   void NotifyEventsArrived(const Actor* actor, size_t n,
                            Timestamp now) override {
-    telemetry_.RecordArrival(actor, n, now);
+    stats_.OnEventsArrived(actor, n, now);
+    telemetry_.RecordArrival(actor, n);
   }
 
   AbstractScheduler* scheduler() { return scheduler_.get(); }

@@ -56,8 +56,6 @@ Status SDFDirector::Run(Timestamp until) {
       a->BeginFiring();
       ScopedCurrentActor current_actor(a);
       const Timestamp fire_start = clock_->Now();
-      const int64_t host_t0 =
-          telemetry_.host_timing_active() ? obs::HostMonotonicMicros() : 0;
       CWF_RETURN_NOT_OK(a->Fire());
       size_t emitted = 0;
       CWF_RETURN_NOT_OK(FlushActorOutputs(a, &emitted));
@@ -71,11 +69,9 @@ Status SDFDirector::Run(Timestamp until) {
       record.actor = a;
       record.consumed = a->firing_context().events_consumed;
       record.emitted = emitted;
-      record.fire_host_us =
-          host_t0 != 0 ? obs::HostMonotonicMicros() - host_t0 : 0;
-      record.cost = record.fire_host_us;
       record.start = fire_start;
       record.end = clock_->Now();
+      record.cost = record.end - record.start;
       const FiringContext& fc = a->firing_context();
       record.wave = fc.valid ? &fc.wave : nullptr;
       telemetry_.RecordFiring(record);

@@ -4,9 +4,9 @@
 //
 // The paper's push actors "connect to external data streams (through TCP or
 // HTTP connections)" and pump tuples "at a rate dictated by the director's
-// execution model". stream/tcp_listener.h reproduces that with a
-// thread-per-connection loop — fine for a handful of sources, hopeless for
-// thousands. IngestServer is the scalable transport underneath:
+// execution model". IngestServer is that transport. It serves anything from
+// one live source (one shard, close_channels_on_stop) to thousands of
+// connections, where a thread-per-connection loop would not scale:
 //
 //   * One acceptor thread owns the listening socket and hands accepted fds
 //     to N event-loop shards round-robin. Each shard runs a level-triggered
@@ -90,8 +90,7 @@ class IngestServer {
     /// one line each, flushed off-thread by a BackgroundWriter.
     std::string access_log_path;
     /// Close every registered channel on Stop() so a draining workflow
-    /// terminates (the TcpLineListener contract). Turn off when the
-    /// channels outlive the server.
+    /// terminates. Turn off when the channels outlive the server.
     bool close_channels_on_stop = true;
     /// Listen address (the loopback default keeps tests self-contained;
     /// "0.0.0.0" opens the front door).

@@ -256,7 +256,7 @@ void MetricsServer::Stop() {
   const int listen_fd = listen_fd_.exchange(-1);
   if (listen_fd >= 0) {
     // shutdown() wakes the blocked accept(); the fd is closed only after
-    // the accept thread joined (fd-recycling hazard, see TcpLineListener).
+    // the accept thread joined (fd-recycling hazard, see IngestServer::Stop).
     ::shutdown(listen_fd, SHUT_RDWR);
   }
   if (accept_thread_.joinable()) {

@@ -19,12 +19,6 @@ void RegisterHelp(MetricsRegistry& reg) {
   reg.SetHelp("cwf_actor_cost_us",
               "Engine-time firing cost in microseconds (modeled on a virtual "
               "clock, measured on a real clock)");
-  reg.SetHelp("cwf_actor_prefire_us",
-              "Host microseconds spent delivering windows and evaluating "
-              "prefire before a firing");
-  reg.SetHelp("cwf_actor_fire_us",
-              "Host microseconds spent in fire() plus output flushing");
-  reg.SetHelp("cwf_actor_postfire_us", "Host microseconds spent in postfire()");
   reg.SetHelp("cwf_actor_events_consumed_total",
               "Events consumed by firings, per actor");
   reg.SetHelp("cwf_actor_events_emitted_total",
@@ -59,7 +53,6 @@ void RegisterHelp(MetricsRegistry& reg) {
 
 void WorkflowTelemetry::Bind(const Workflow& workflow,
                              const char* director_kind) {
-  observers_.clear();
 #ifdef CWF_OBS_ENABLED
   actors_.clear();
   MetricsRegistry& reg = MetricsRegistry::Global();
@@ -72,10 +65,6 @@ void WorkflowTelemetry::Bind(const Workflow& workflow,
     ActorInstruments ai;
     ai.firings = reg.GetCounter("cwf_actor_firings_total", "actor", name);
     ai.cost_us = reg.GetHistogram("cwf_actor_cost_us", "actor", name);
-    ai.prefire_host_us = reg.GetHistogram("cwf_actor_prefire_us", "actor", name);
-    ai.fire_host_us = reg.GetHistogram("cwf_actor_fire_us", "actor", name);
-    ai.postfire_host_us =
-        reg.GetHistogram("cwf_actor_postfire_us", "actor", name);
     ai.consumed =
         reg.GetCounter("cwf_actor_events_consumed_total", "actor", name);
     ai.emitted =
@@ -98,18 +87,6 @@ void WorkflowTelemetry::Bind(const Workflow& workflow,
   (void)workflow;
   (void)director_kind;
 #endif
-}
-
-void WorkflowTelemetry::AddObserver(ExecutionObserver* observer) {
-  if (observer == nullptr) {
-    return;
-  }
-  for (ExecutionObserver* o : observers_) {
-    if (o == observer) {
-      return;
-    }
-  }
-  observers_.push_back(observer);
 }
 
 const ReceiverProbe* WorkflowTelemetry::CreateReceiverProbe(
@@ -165,9 +142,6 @@ WorkflowTelemetry::ActorProfileSites WorkflowTelemetry::ProfileSitesFor(
 }
 
 void WorkflowTelemetry::RecordFiring(const FiringRecord& record) {
-  for (ExecutionObserver* o : observers_) {
-    o->OnFiring(record);
-  }
 #ifdef CWF_OBS_ENABLED
   const ActorInstruments* ai = Find(record.actor);
   if (ai == nullptr) {
@@ -176,11 +150,6 @@ void WorkflowTelemetry::RecordFiring(const FiringRecord& record) {
   if (MetricsEnabled()) {
     ai->firings->Add(1);
     ai->cost_us->Record(record.cost);
-    if (record.fire_host_us != 0 || record.prefire_host_us != 0) {
-      ai->prefire_host_us->Record(record.prefire_host_us);
-      ai->fire_host_us->Record(record.fire_host_us);
-      ai->postfire_host_us->Record(record.postfire_host_us);
-    }
     if (record.consumed > 0) {
       ai->consumed->Add(record.consumed);
     }
@@ -195,52 +164,54 @@ void WorkflowTelemetry::RecordFiring(const FiringRecord& record) {
     GlobalTracer().OnFiring(ai->tid, record.wave, record.start, record.end,
                             record.consumed, record.emitted);
   }
+#else
+  (void)record;
 #endif
 }
 
-void WorkflowTelemetry::RecordArrival(const Actor* actor, size_t n,
-                                      Timestamp now) {
-  for (ExecutionObserver* o : observers_) {
-    o->OnEventsArrived(actor, n, now);
-  }
+void WorkflowTelemetry::RecordArrival(const Actor* actor, size_t n) {
 #ifdef CWF_OBS_ENABLED
   const ActorInstruments* ai = Find(actor);
   if (ai != nullptr && MetricsEnabled()) {
     ai->arrived->Add(n);
   }
+#else
+  (void)actor;
+  (void)n;
 #endif
 }
 
 void WorkflowTelemetry::RecordQueueDepth(const Actor* actor,
                                          uint64_t high_water) {
-  for (ExecutionObserver* o : observers_) {
-    o->OnQueueDepth(actor, high_water);
-  }
 #ifdef CWF_OBS_ENABLED
   const ActorInstruments* ai = Find(actor);
   if (ai != nullptr && MetricsEnabled()) {
     ai->queue_hwm->Set(static_cast<int64_t>(high_water));
   }
+#else
+  (void)actor;
+  (void)high_water;
 #endif
 }
 
-void WorkflowTelemetry::RecordDecision(const SchedulerDecision& decision) {
-  for (ExecutionObserver* o : observers_) {
-    o->OnSchedulerDecision(decision);
-  }
+void WorkflowTelemetry::RecordDecision(const Actor* chosen,
+                                       size_t queued_events, Timestamp now) {
 #ifdef CWF_OBS_ENABLED
-  const ActorInstruments* ai = Find(decision.chosen);
+  const ActorInstruments* ai = Find(chosen);
   if (ai == nullptr) {
     return;
   }
   if (MetricsEnabled()) {
     ai->decisions->Add(1);
-    ready_queue_events_->Record(
-        static_cast<int64_t>(decision.total_queued_events));
+    ready_queue_events_->Record(static_cast<int64_t>(queued_events));
   }
   if (TracingEnabled()) {
-    GlobalTracer().Instant(ai->tid, decision.now);
+    GlobalTracer().Instant(ai->tid, now);
   }
+#else
+  (void)chosen;
+  (void)queued_events;
+  (void)now;
 #endif
 }
 

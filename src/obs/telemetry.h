@@ -1,17 +1,17 @@
 // The hook layer between the engine's hot paths and the observability
-// backends (obs/metrics.h, obs/trace_buffer.h) plus any registered
-// ExecutionObserver (stafilos::ActorStatistics is one).
+// backends (obs/metrics.h, obs/trace_buffer.h).
 //
 // Design rules:
 //  * Instruments are resolved ONCE, at Director::Initialize (Bind /
 //    CreateReceiverProbe). The hot-path hooks touch nothing but relaxed
 //    atomics and one read-only map lookup — the registry lock is never
 //    taken while the workflow runs.
-//  * Observer fan-out ALWAYS fires: STAFiLOS schedulers need
-//    ActorStatistics regardless of whether metrics are being collected.
-//    Only the metric/tracer sinks are gated — at compile time by
-//    CWF_OBS_ENABLED (CMake option CONFLUENCE_OBS) and at runtime by
-//    obs::MetricsEnabled() / obs::TracingEnabled().
+//  * Every sink is gated — at compile time by CWF_OBS_ENABLED (CMake option
+//    CONFLUENCE_OBS) and at runtime by obs::MetricsEnabled() /
+//    obs::TracingEnabled(). Nothing the engine needs to run (the STAFiLOS
+//    statistics module included) is fed from here.
+//  * Host time per phase is the profiler's job (CWF_PROFILE_SCOPE, resolved
+//    here as ActorProfileSites); the firing record carries engine time only.
 //  * All directors share one process-global WaveTracer so composite
 //    actors' inner directors land on the same Perfetto timeline.
 
@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "common/time.h"
 #include "core/event.h"
@@ -68,11 +67,6 @@ struct FiringRecord {
   const Actor* actor = nullptr;
   /// Engine-time cost: modeled (virtual clock) or measured (real clock).
   Duration cost = 0;
-  /// Host-side phase durations (µs); zero when host timing is off. The
-  /// prefire figure covers window delivery + prefire evaluation (SCWF).
-  int64_t prefire_host_us = 0;
-  int64_t fire_host_us = 0;
-  int64_t postfire_host_us = 0;
   size_t consumed = 0;
   size_t emitted = 0;
   Timestamp start;  ///< engine time the firing began
@@ -82,42 +76,9 @@ struct FiringRecord {
   const WaveTag* wave = nullptr;
 };
 
-/// \brief One scheduler pick (SCWF): which actor, under which policy, and
-/// the ready-queue state it was picked out of.
-struct SchedulerDecision {
-  const char* policy = "";
-  const Actor* chosen = nullptr;
-  size_t actor_queued_windows = 0;  ///< windows still queued for `chosen`
-  size_t total_queued_events = 0;   ///< events queued engine-wide
-  Timestamp now;
-};
-
-/// \brief Consumer interface for execution events. ActorStatistics
-/// implements this; the fan-out is unconditional (never gated by the
-/// metrics toggles), so schedulers keep their statistics with telemetry
-/// compiled out.
-class ExecutionObserver {
- public:
-  virtual ~ExecutionObserver() = default;
-
-  virtual void OnFiring(const FiringRecord& record) { (void)record; }
-  virtual void OnEventsArrived(const Actor* actor, size_t n, Timestamp now) {
-    (void)actor;
-    (void)n;
-    (void)now;
-  }
-  virtual void OnQueueDepth(const Actor* actor, uint64_t high_water) {
-    (void)actor;
-    (void)high_water;
-  }
-  virtual void OnSchedulerDecision(const SchedulerDecision& decision) {
-    (void)decision;
-  }
-};
-
 /// \brief One director's telemetry frontend: owns the resolved instrument
-/// handles and the observer list, and routes every hook to (a) observers,
-/// (b) the metrics registry, (c) the global wave tracer.
+/// handles and routes every hook to the metrics registry and the global
+/// wave tracer.
 class WorkflowTelemetry {
  public:
   WorkflowTelemetry() = default;
@@ -125,14 +86,9 @@ class WorkflowTelemetry {
   WorkflowTelemetry& operator=(const WorkflowTelemetry&) = delete;
 
   /// \brief Resolve per-actor instruments against the global registry and
-  /// register trace tracks for every actor of `workflow`. Clears the
-  /// observer list (Initialize re-entry starts from a clean slate; the
-  /// SCWF director re-adds its statistics module afterwards). No-op when
+  /// register trace tracks for every actor of `workflow`. No-op when
   /// telemetry is compiled out.
   void Bind(const Workflow& workflow, const char* director_kind);
-
-  /// \brief Register an execution-event consumer (not owned).
-  void AddObserver(ExecutionObserver* observer);
 
   /// \brief Resolve the per-channel receiver instruments for the channel
   /// into `port_name` (channel > 0 gets a "#<channel>" suffix). Returns
@@ -143,18 +99,20 @@ class WorkflowTelemetry {
 
   // ---- Hot-path hooks ----
 
-  /// \brief A firing completed. Observers always; metrics and trace spans
-  /// when the respective toggles are on.
+  /// \brief A firing completed: metrics and trace spans when the respective
+  /// toggles are on.
   void RecordFiring(const FiringRecord& record);
 
   /// \brief `n` events were queued toward `actor` (scheduler enqueue).
-  void RecordArrival(const Actor* actor, size_t n, Timestamp now);
+  void RecordArrival(const Actor* actor, size_t n);
 
   /// \brief Max input-receiver high-water mark observed after a dispatch.
   void RecordQueueDepth(const Actor* actor, uint64_t high_water);
 
-  /// \brief The scheduler picked an actor.
-  void RecordDecision(const SchedulerDecision& decision);
+  /// \brief The scheduler picked `chosen` with `queued_events` events
+  /// queued engine-wide.
+  void RecordDecision(const Actor* chosen, size_t queued_events,
+                      Timestamp now);
 
   /// \brief A producer's firing was deferred because a plan-bounded
   /// downstream queue is full (simulated-thread PNCWF backpressure).
@@ -177,9 +135,9 @@ class WorkflowTelemetry {
 #endif
   }
 
-  /// \brief Whether the director should spend clock reads on per-phase host
-  /// timing this firing (metrics compiled in, enabled, and bound).
-  bool host_timing_active() const {
+  /// \brief Whether metric sinks are live: compiled in, enabled, and bound.
+  /// Lets a director skip building a record no sink would read.
+  bool metrics_active() const {
 #ifdef CWF_OBS_ENABLED
     return !actors_.empty() && MetricsEnabled();
 #else
@@ -200,16 +158,11 @@ class WorkflowTelemetry {
   };
   ActorProfileSites ProfileSitesFor(const Actor* actor) const;
 
-  size_t observer_count() const { return observers_.size(); }
-
  private:
   /// Instrument handles of one actor, resolved at Bind.
   struct ActorInstruments {
     Counter* firings = nullptr;
     Histogram* cost_us = nullptr;
-    Histogram* prefire_host_us = nullptr;
-    Histogram* fire_host_us = nullptr;
-    Histogram* postfire_host_us = nullptr;
     Counter* consumed = nullptr;
     Counter* emitted = nullptr;
     Counter* arrived = nullptr;
@@ -222,7 +175,6 @@ class WorkflowTelemetry {
 
   const ActorInstruments* Find(const Actor* actor) const;
 
-  std::vector<ExecutionObserver*> observers_;
   /// Read-only after Bind (PNCWF actor threads look up concurrently).
   std::map<const Actor*, ActorInstruments> actors_;
   Counter* events_emitted_ = nullptr;      ///< cwf_events_emitted_total

@@ -74,13 +74,9 @@ class SchedulerHost {
   virtual ActorStatistics* statistics() = 0;
 
   /// \brief `n` events were queued toward `actor` (AbstractScheduler::
-  /// Enqueue). The default feeds the statistics module directly; the SCWF
-  /// director overrides this to fan out through its telemetry layer so
-  /// metrics and statistics observe one stream.
+  /// Enqueue). The host feeds its statistics module and its telemetry.
   virtual void NotifyEventsArrived(const Actor* actor, size_t n,
-                                   Timestamp now) {
-    statistics()->OnEventsArrived(actor, n, now);
-  }
+                                   Timestamp now) = 0;
 };
 
 /// \brief Base class of every pluggable CWf scheduling policy.

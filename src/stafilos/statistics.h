@@ -20,7 +20,6 @@
 
 #include "common/time.h"
 #include "core/workflow.h"
-#include "obs/telemetry.h"
 
 namespace cwf {
 
@@ -80,12 +79,10 @@ struct ActorStats {
 
 /// \brief Statistics registry exposed to every STAFiLOS scheduler.
 ///
-/// Consumes the engine's execution events as an obs::ExecutionObserver
-/// registered with the SCWF director's telemetry layer — the same hook
-/// points that drive the metrics registry and the wave tracer. The fan-out
-/// to this module is unconditional (schedulers need statistics even with
-/// metrics collection off or telemetry compiled out).
-class ActorStatistics : public obs::ExecutionObserver {
+/// The SCWF director feeds it directly at the same points where it calls
+/// its telemetry hooks, unconditionally: schedulers need statistics even
+/// with metrics collection off or telemetry compiled out.
+class ActorStatistics {
  public:
   /// \brief EWMA smoothing factor for costs and rates.
   explicit ActorStatistics(double alpha = 0.2) : alpha_(alpha) {}
@@ -93,23 +90,17 @@ class ActorStatistics : public obs::ExecutionObserver {
   /// \brief Register all actors of a workflow (resets prior data).
   void Initialize(const Workflow& workflow);
 
-  /// \brief Record a completed firing.
+  /// \brief Record a completed firing (`cost` in engine time).
   void OnFiring(const Actor* actor, Duration cost, size_t consumed,
                 size_t produced, Timestamp now);
 
-  /// \brief ExecutionObserver entry point; delegates to the above.
-  void OnFiring(const obs::FiringRecord& record) override {
-    OnFiring(record.actor, record.cost, record.consumed, record.emitted,
-             record.end);
-  }
-
   /// \brief Record `n` events arriving at `actor`'s input queues.
-  void OnEventsArrived(const Actor* actor, size_t n, Timestamp now) override;
+  void OnEventsArrived(const Actor* actor, size_t n, Timestamp now);
 
   /// \brief Fold a receiver high-water-mark observation into the actor's
   /// queue_high_water (monotone max). The SCWF director reports the max
   /// over the actor's input receivers after each dispatch.
-  void OnQueueDepth(const Actor* actor, uint64_t high_water) override;
+  void OnQueueDepth(const Actor* actor, uint64_t high_water);
 
   /// \brief Stats of one actor (zeroed entry if unknown).
   const ActorStats& Get(const Actor* actor) const;

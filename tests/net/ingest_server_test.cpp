@@ -13,8 +13,11 @@
 #include <thread>
 #include <vector>
 
+#include "actors/library.h"
 #include "core/clock.h"
+#include "directors/pncwf_director.h"
 #include "net/frame.h"
+#include "stream/stream_source.h"
 #include "stream/trace.h"
 
 namespace cwf::net {
@@ -404,6 +407,129 @@ TEST(IngestServerTest, StartRequiresChannels) {
   RealClock clock;
   IngestServer server(&clock);
   EXPECT_FALSE(server.Start(0).ok());
+}
+
+// One event-loop shard that closes its channel on Stop(): the shape of a
+// single live source feeding one workflow input.
+IngestServer::Options SingleSource() {
+  IngestServer::Options options;
+  options.shards = 1;
+  options.close_channels_on_stop = true;
+  return options;
+}
+
+TEST(IngestServerTest, ParsesLinesIntoChannel) {
+  auto channel = std::make_shared<PushChannel>();
+  RealClock clock;
+  IngestServer server(&clock, SingleSource());
+  server.AddChannel(0, channel);
+  ASSERT_TRUE(server.Start(0).ok());
+
+  const int fd = ConnectTo(server.port());
+  SendAll(fd, "car=i:7;speed=d:55.5\nvalue=i:42\n");
+  WaitFor([&] { return server.tuples_received() >= 2; });
+  ::close(fd);
+
+  EXPECT_EQ(server.tuples_received(), 2u);
+  EXPECT_EQ(server.parse_errors(), 0u);
+  auto batch = channel->PopArrived(Timestamp::Max());
+  ASSERT_EQ(batch.size(), 2u);
+  EXPECT_EQ(batch[0].token.Field("car").AsInt(), 7);
+  EXPECT_DOUBLE_EQ(batch[0].token.Field("speed").AsDouble(), 55.5);
+  EXPECT_EQ(batch[1].token.Field("value").AsInt(), 42);
+  server.Stop();
+  EXPECT_TRUE(channel->closed());
+}
+
+TEST(IngestServerTest, MalformedLinesCountedAndDropped) {
+  auto channel = std::make_shared<PushChannel>();
+  RealClock clock;
+  IngestServer server(&clock, SingleSource());
+  server.AddChannel(0, channel);
+  ASSERT_TRUE(server.Start(0).ok());
+
+  const int fd = ConnectTo(server.port());
+  SendAll(fd, "no_equals_sign\nok=i:1\n");
+  WaitFor([&] { return server.tuples_received() >= 1; });
+  ::close(fd);
+  EXPECT_EQ(server.parse_errors(), 1u);
+  EXPECT_EQ(server.tuples_received(), 1u);
+  auto batch = channel->PopArrived(Timestamp::Max());
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch[0].token.Field("ok").AsInt(), 1);
+  server.Stop();
+}
+
+TEST(IngestServerTest, MultipleClientsAndPartialWrites) {
+  auto channel = std::make_shared<PushChannel>();
+  RealClock clock;
+  IngestServer server(&clock, SingleSource());
+  server.AddChannel(0, channel);
+  ASSERT_TRUE(server.Start(0).ok());
+
+  const int a = ConnectTo(server.port());
+  const int b = ConnectTo(server.port());
+  // A line split across two writes must reassemble, while another client's
+  // complete line lands in between.
+  SendAll(a, "k=i:");
+  SendAll(b, "k=i:2\n");
+  SendAll(a, "1\n");
+  WaitFor([&] { return server.tuples_received() >= 2; });
+  ::close(a);
+  ::close(b);
+  EXPECT_EQ(server.tuples_received(), 2u);
+  EXPECT_EQ(server.parse_errors(), 0u);
+  server.Stop();
+}
+
+TEST(IngestServerTest, StartTwiceRejected) {
+  auto channel = std::make_shared<PushChannel>();
+  RealClock clock;
+  IngestServer server(&clock, SingleSource());
+  server.AddChannel(0, channel);
+  ASSERT_TRUE(server.Start(0).ok());
+  EXPECT_EQ(server.Start(0).code(), StatusCode::kFailedPrecondition);
+  server.Stop();
+}
+
+TEST(IngestServerTest, EndToEndIntoThreadedWorkflow) {
+  // Network client -> IngestServer -> StreamSourceActor -> map -> sink, all
+  // live under the OS-thread PNCWF director.
+  auto channel = std::make_shared<PushChannel>();
+  RealClock clock;
+  IngestServer server(&clock, SingleSource());
+  server.AddChannel(0, channel);
+  ASSERT_TRUE(server.Start(0).ok());
+
+  Workflow wf("net");
+  auto* src = wf.AddActor<StreamSourceActor>("src", channel);
+  auto* map = wf.AddActor<MapActor>("map", [](const Token& t) {
+    return Token(t.Field("v").AsInt() * 10);
+  });
+  auto* sink = wf.AddActor<CollectorSink>("sink");
+  ASSERT_TRUE(wf.Connect(src->out(), map->in()).ok());
+  ASSERT_TRUE(wf.Connect(map->out(), sink->in()).ok());
+
+  PNCWFOptions opts;
+  opts.mode = PNCWFMode::kOsThreads;
+  PNCWFDirector d(opts);
+  ASSERT_TRUE(d.Initialize(&wf, &clock, nullptr).ok());
+
+  std::thread producer([&] {
+    const int fd = ConnectTo(server.port());
+    for (int i = 1; i <= 5; ++i) {
+      SendAll(fd, "v=i:" + std::to_string(i) + "\n");
+    }
+    ::close(fd);
+    WaitFor([&] { return server.tuples_received() >= 5; });
+    server.Stop();  // closes the channel -> workflow drains and exits
+  });
+  ASSERT_TRUE(d.Run(Timestamp::Max()).ok());
+  producer.join();
+
+  auto got = sink->TakeSnapshot();
+  ASSERT_EQ(got.size(), 5u);
+  EXPECT_EQ(got[4].token.AsInt(), 50);
 }
 
 }  // namespace

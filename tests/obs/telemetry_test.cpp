@@ -1,14 +1,19 @@
 // Telemetry hook-layer behavior: directors bind instruments into the
 // global registry, receiver probes count traffic, runtime toggles stop the
-// sinks, and Director::Initialize re-entry resets per-run state (receiver
-// high-water marks, actor statistics) without invalidating instruments.
+// sinks, Director::Initialize re-entry resets per-run state (receiver
+// high-water marks, actor statistics) without invalidating instruments, and
+// firing cost is engine time whatever the toggles say.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
+#include <thread>
 
 #include "actors/library.h"
+#include "directors/ddf_director.h"
 #include "directors/scwf_director.h"
+#include "directors/sdf_director.h"
 #include "obs/export_server.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
@@ -167,6 +172,105 @@ TEST_F(TelemetryTest, TopTsvRendersBoundActors) {
   EXPECT_EQ(tsv.rfind("# ts_us ", 0), 0u);
   EXPECT_NE(tsv.find("actor\tfirings"), std::string::npos);
   EXPECT_NE(tsv.find("\nmap\t4\t"), std::string::npos);
+}
+
+/// Source whose every firing spends kWork of engine time (it advances the
+/// virtual clock itself) and emits one token. Each firing also switches the
+/// metric sinks on, so a run started with metrics off still lands its first
+/// firing's record in the cost histogram: the recorded cost must not depend
+/// on the toggle state when the firing began.
+class WorkingSource : public Actor {
+ public:
+  static constexpr Duration kWork = 250000;
+
+  WorkingSource(std::string name, VirtualClock* clock, int firings)
+      : Actor(std::move(name)), clock_(clock), firings_(firings) {
+    out_ = AddOutputPort("out");
+  }
+  Result<bool> Prefire() override { return fired_ < firings_; }
+  Status Fire() override {
+    clock_->AdvanceBy(kWork);
+    obs::SetMetricsEnabled(true);
+    Send(out_, Token(fired_++));
+    return Status::OK();
+  }
+  OutputPort* out() const { return out_; }
+
+ private:
+  VirtualClock* clock_;
+  int firings_;
+  int fired_ = 0;
+  OutputPort* out_;
+};
+
+template <typename DirectorT>
+void ExpectCostIsEngineTime(bool metrics_at_start) {
+  constexpr int kFirings = 3;
+  obs::MetricsRegistry::Global().Reset();
+  obs::SetMetricsEnabled(metrics_at_start);
+  VirtualClock clock;
+  Workflow wf("cost");
+  auto* src = wf.AddActor<WorkingSource>("src", &clock, kFirings);
+  auto* sink = wf.AddActor<CollectorSink>("sink");
+  ASSERT_TRUE(wf.Connect(src->out(), sink->in()).ok());
+  DirectorT d;
+  ASSERT_TRUE(d.Initialize(&wf, &clock, nullptr).ok());
+  ASSERT_TRUE(d.Run(Timestamp::Max()).ok());
+  ASSERT_EQ(sink->count(), static_cast<size_t>(kFirings));
+
+  const obs::Histogram* cost = obs::MetricsRegistry::Global().GetHistogram(
+      "cwf_actor_cost_us", "actor", "src");
+  EXPECT_EQ(cost->Count(), static_cast<uint64_t>(kFirings));
+  EXPECT_EQ(cost->Sum(), kFirings * WorkingSource::kWork);
+}
+
+TEST_F(TelemetryTest, DdfAndSdfCostIsEngineTimeWithMetricsOnOrOff) {
+#ifndef CWF_OBS_ENABLED
+  GTEST_SKIP() << "built with CONFLUENCE_OBS=OFF";
+#endif
+  for (bool metrics_at_start : {true, false}) {
+    SCOPED_TRACE(metrics_at_start ? "metrics on" : "metrics off");
+    {
+      SCOPED_TRACE("DDF");
+      ExpectCostIsEngineTime<DDFDirector>(metrics_at_start);
+    }
+    {
+      SCOPED_TRACE("SDF");
+      ExpectCostIsEngineTime<SDFDirector>(metrics_at_start);
+    }
+  }
+}
+
+TEST_F(TelemetryTest, RealClockCostMeasuredWithMetricsOff) {
+  obs::SetMetricsEnabled(false);
+  constexpr int kTokens = 3;
+  Workflow wf("real");
+  auto feed = std::make_shared<PushChannel>();
+  auto* src = wf.AddActor<StreamSourceActor>("src", feed);
+  auto* slow = wf.AddActor<MapActor>("slow", [](const Token& t) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    return t;
+  });
+  auto* sink = wf.AddActor<CollectorSink>("sink");
+  ASSERT_TRUE(wf.Connect(src->out(), slow->in()).ok());
+  ASSERT_TRUE(wf.Connect(slow->out(), sink->in()).ok());
+  for (int i = 0; i < kTokens; ++i) {
+    feed->Push(Token(i), Timestamp(0));
+  }
+  feed->Close();
+
+  RealClock clock;
+  SCWFDirector d(std::make_unique<FIFOScheduler>());
+  ASSERT_TRUE(d.Initialize(&wf, &clock, nullptr).ok());
+  ASSERT_TRUE(d.Run(Timestamp::Max()).ok());
+  ASSERT_EQ(sink->count(), static_cast<size_t>(kTokens));
+
+  // Every firing slept at least 2 ms, so each cost and their EWMA are at
+  // least 2000 µs.
+  const ActorStats& stats = d.stats().Get(slow);
+  EXPECT_EQ(stats.invocations, static_cast<uint64_t>(kTokens));
+  EXPECT_GE(stats.total_cost, kTokens * 2000);
+  EXPECT_GE(stats.ewma_cost, 2000.0);
 }
 
 }  // namespace

@@ -1,10 +1,8 @@
-// cwf_tidy: portable, dependency-free enforcement of the repository's three
-// concurrency lint rules. The same rules ship as a proper clang-tidy plugin
-// (CwfTidyModule.cpp next door) for toolchains that have clang; this binary
-// is the lane that runs everywhere — it needs nothing but a C++ compiler, so
-// check.sh and ctest can gate on it even on gcc-only images.
+// cwf_tidy: portable, dependency-free enforcement of the repository's
+// concurrency and schema lint rules. It needs nothing but a C++ compiler, so
+// check.sh and ctest gate on it on every image, gcc-only ones included.
 //
-// Checks (names match the clang-tidy module):
+// Checks:
 //
 //   cwf-raw-mutex            std::mutex / std::recursive_mutex /
 //                            std::lock_guard / std::condition_variable and
@@ -34,9 +32,8 @@
 //                            Field("speeed") only dies at runtime; every
 //                            accessed name must match some RecordSchema
 //                            builder declaration (.Int("x")/.Double("x")/
-//                            .Bool("x")/.Str("x")/Field("x", type)). This
-//                            check is scanner-only (no clang-tidy mirror):
-//                            it needs the whole file set in one pass to
+//                            .Bool("x")/.Str("x")/Field("x", type)). The
+//                            check needs the whole file set in one pass to
 //                            build the declared-name universe.
 //
 //   cwf-unbounded-wait       condition-variable waits that can hang on a
