@@ -136,12 +136,10 @@ Status Director::BuildReceivers() {
 }
 
 Status Director::FlushActorOutputs(Actor* actor, size_t* emitted) {
-#ifdef CWF_OBS_ENABLED
   static const obs::ProfileSite* alloc_site = obs::Profiler::Global().Site(
       "<director>", obs::ProfilePhase::kAllocation);
   static const obs::ProfileSite* open_site =
       obs::Profiler::Global().Site("<director>", obs::ProfilePhase::kWaveOpen);
-#endif
   std::vector<PendingOutput> outputs;
   {
     CWF_PROFILE_SCOPE(alloc_site);

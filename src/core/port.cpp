@@ -4,11 +4,10 @@
 #include "obs/telemetry.h"
 
 namespace cwf {
-#ifdef CWF_OBS_ENABLED
 namespace {
 
 /// Profiler cell of a receiver's deposit/retrieval phases; nullptr (inert
-/// scope) for unprobed receivers (telemetry off, boundary collectors).
+/// scope) for unprobed receivers (boundary collectors).
 const obs::ProfileSite* PutSite(const Receiver* r) {
   return r->probe() == nullptr ? nullptr : r->probe()->put_site;
 }
@@ -18,7 +17,6 @@ const obs::ProfileSite* GetSite(const Receiver* r) {
 }
 
 }  // namespace
-#endif
 
 std::string Port::FullName() const {
   return (actor_ ? actor_->name() : std::string("<detached>")) + "." + name_;

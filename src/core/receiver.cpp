@@ -1,11 +1,8 @@
 #include "core/receiver.h"
 
 #include "core/port.h"
-#include "obs/telemetry.h"
-
-#ifdef CWF_OBS_ENABLED
 #include "obs/metrics.h"
-#endif
+#include "obs/telemetry.h"
 
 // The probe helpers live out of line so core/receiver.h does not pull the
 // obs headers into every translation unit that touches a receiver.
@@ -15,14 +12,12 @@ namespace cwf {
 namespace {
 
 void BumpSchemaViolationCounter() {
-#ifdef CWF_OBS_ENABLED
   if (obs::MetricsEnabled()) {
     obs::MetricsRegistry::Global().SetHelp(
         "cwf_schema_violations",
         "Tokens rejected by the runtime channel schema check (CWF7008)");
     obs::MetricsRegistry::Global().GetCounter("cwf_schema_violations")->Add(1);
   }
-#endif
 }
 
 }  // namespace

@@ -7,10 +7,7 @@
 
 #include "core/actor.h"
 #include "core/receiver.h"
-
-#ifdef CWF_OBS_ENABLED
 #include "obs/metrics.h"
-#endif
 
 namespace cwf {
 
@@ -337,16 +334,12 @@ void ChannelWaitGraph::InvokeReportHandler(const std::string& report) {
 }
 
 void ChannelWaitGraph::AdjustBlockedGauge(int64_t delta) {
-#ifdef CWF_OBS_ENABLED
   if (obs::MetricsEnabled()) {
     obs::MetricsRegistry::Global().SetHelp(
         "cwf_blocked_actors",
         "Actors currently blocked on a full (put) or empty (get) channel");
     obs::MetricsRegistry::Global().GetGauge("cwf_blocked_actors")->Add(delta);
   }
-#else
-  (void)delta;
-#endif
 }
 
 // ---------------------------------------------------------------------------

@@ -63,14 +63,12 @@ class BlockingWindowedReceiver : public WindowedReceiver {
         wait_graph_->OnPutUnblocked(waiter);
         const int64_t blocked_us = obs::HostMonotonicMicros() - blocked_from;
         NoteBlockedMicros(blocked_us);
-#ifdef CWF_OBS_ENABLED
         // The wait was timed above; credit it to the blocked phase without
         // a scope (RecordExternal never nests).
         if (probe() != nullptr) {
           obs::Profiler::RecordExternal(probe()->blocked_site,
                                         blocked_us * 1000);
         }
-#endif
       }
       st = WindowedReceiver::Put(event);
     }
@@ -225,11 +223,9 @@ Result<Duration> PNCWFDirector::FireOnce(Actor* actor, size_t* consumed,
   // downstream receiver only knows its consumer, the wait graph needs the
   // producing end of the edge.
   ScopedCurrentActor current_actor(actor);
-#ifdef CWF_OBS_ENABLED
   const obs::WorkflowTelemetry::ActorProfileSites sites =
       obs::ProfilingEnabled() ? telemetry_.ProfileSitesFor(actor)
                               : obs::WorkflowTelemetry::ActorProfileSites{};
-#endif
   actor->BeginFiring();
   const Timestamp fire_start = clock_->Now();
   {
@@ -294,10 +290,8 @@ void PNCWFDirector::FireReceiverTimeouts(Timestamp now) {
 // ---------------------------------------------------------------------------
 
 Status PNCWFDirector::RunSimulated(Timestamp until) {
-#ifdef CWF_OBS_ENABLED
   static const obs::ProfileSite* dispatch_site = obs::Profiler::Global().Site(
       "<director>", obs::ProfilePhase::kSchedulerDispatch);
-#endif
   CWF_PROFILE_WALL_SCOPE();
   const auto& actors = workflow_->actors();
   const size_t n = actors.size();
@@ -403,11 +397,9 @@ Status PNCWFDirector::RunSimulated(Timestamp until) {
 
     // Context switch to the chosen thread, then let it run until it blocks
     // (no input) or its OS time slice expires.
-#ifdef CWF_OBS_ENABLED
     const obs::WorkflowTelemetry::ActorProfileSites chosen_sites =
         obs::ProfilingEnabled() ? telemetry_.ProfileSitesFor(chosen)
                                 : obs::WorkflowTelemetry::ActorProfileSites{};
-#endif
     clock_->AdvanceBy(cost_model_->context_switch_overhead);
     ++context_switches_;
     Duration slice = cost_model_->os_time_slice;
@@ -453,12 +445,10 @@ Status PNCWFDirector::RunSimulated(Timestamp until) {
 void PNCWFDirector::ActorThreadBody(Actor* actor)
     CWF_NO_THREAD_SAFETY_ANALYSIS {
   ActorSync* sync = syncs_.at(actor).get();
-#ifdef CWF_OBS_ENABLED
   // One lookup per thread lifetime; scopes stay inert until profiling is
   // enabled at runtime.
   const obs::WorkflowTelemetry::ActorProfileSites sites =
       telemetry_.ProfileSitesFor(actor);
-#endif
   for (;;) {
     {
       std::unique_lock<OrderedRecursiveMutex> lock(sync->mutex);

@@ -77,13 +77,11 @@ Status SCWFDirector::FireTimeouts(Timestamp now) {
 }
 
 Status SCWFDirector::DispatchActor(Actor* actor) {
-#ifdef CWF_OBS_ENABLED
   // Profile cells were resolved at Bind; the branch keeps the disabled cost
   // to one relaxed load (no map lookup).
   const obs::WorkflowTelemetry::ActorProfileSites sites =
       obs::ProfilingEnabled() ? telemetry_.ProfileSitesFor(actor)
                               : obs::WorkflowTelemetry::ActorProfileSites{};
-#endif
   // Deliver queued windows onto the actor's receiver buffers until its
   // firing precondition holds (one window in the common single-input case).
   bool can_fire = false;
@@ -175,10 +173,8 @@ Status SCWFDirector::Run(Timestamp until) {
   if (!initialized_) {
     return Status::FailedPrecondition("SCWFDirector::Run before Initialize");
   }
-#ifdef CWF_OBS_ENABLED
   static const obs::ProfileSite* dispatch_site = obs::Profiler::Global().Site(
       "<scheduler>", obs::ProfilePhase::kSchedulerDispatch);
-#endif
   CWF_PROFILE_WALL_SCOPE();
   constexpr uint64_t kMaxIdleIterations = 1000000;
   uint64_t idle_iterations = 0;

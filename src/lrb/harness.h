@@ -98,17 +98,6 @@ Result<ExperimentResult> RunLRBExperiment(const ExperimentOptions& options);
 std::string RenderCurve(const ExperimentResult& result,
                         const std::string& label);
 
-/// \brief Render a result as the BENCH_*.json document: run metadata,
-/// headline QoS numbers, and the per-query-type response-time histograms
-/// (count/mean/p50/p95/p99/max plus the non-empty log buckets).
-std::string RenderBenchJson(const ExperimentResult& result,
-                            const std::string& label);
-
-/// \brief Write RenderBenchJson to `path` (conventionally
-/// BENCH_<scheduler>.json next to the harness binary).
-Status WriteBenchJson(const ExperimentResult& result, const std::string& label,
-                      const std::string& path);
-
 }  // namespace cwf::lrb
 
 #endif  // CONFLUENCE_LRB_HARNESS_H_

@@ -660,7 +660,6 @@ void IngestServer::OnConnectionGone() {
 }
 
 void IngestServer::ResolveInstruments() {
-#ifdef CWF_OBS_ENABLED
   if (!obs::MetricsEnabled()) {
     return;
   }
@@ -703,7 +702,6 @@ void IngestServer::ResolveInstruments() {
       "<ingest>", obs::ProfilePhase::kSerialization);
   deposit_site_ = obs::Profiler::Global().Site(
       "<ingest>", obs::ProfilePhase::kReceiverPut);
-#endif
 }
 
 Status IngestServer::Start(uint16_t port) {

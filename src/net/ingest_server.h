@@ -194,8 +194,8 @@ class IngestServer {
   std::atomic<uint64_t> paused_us_{0};
   std::atomic<uint64_t> staged_dropped_{0};
 
-  // Instruments resolved once at Start (null when obs is compiled out or
-  // disabled); shards touch only these pointers on the hot path.
+  // Instruments resolved once at Start (null when metrics are disabled);
+  // shards touch only these pointers on the hot path.
   obs::Gauge* g_connections_ = nullptr;
   obs::Counter* c_accepted_ = nullptr;
   obs::Counter* c_rejected_ = nullptr;

@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <cstring>
@@ -93,6 +94,12 @@ std::string RenderTopTsv(const MetricsRegistry& registry) {
 
 namespace {
 
+/// Receive/send timeout on every accepted connection: one client that never
+/// sends its request line (or never reads its response) must not hold the
+/// single accept thread, and with it every later scrape and Stop(), for
+/// longer than this.
+constexpr int kClientIoTimeoutSeconds = 3;
+
 std::string HttpResponse(const char* status, const char* content_type,
                          const std::string& body) {
   std::ostringstream out;
@@ -161,6 +168,9 @@ void MetricsServer::AcceptLoop() {
       }
       continue;
     }
+    const timeval timeout{kClientIoTimeoutSeconds, 0};
+    ::setsockopt(client, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    ::setsockopt(client, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
     ServeClient(client);
     ::close(client);
   }
@@ -189,10 +199,12 @@ void MetricsServer::ServeClient(int client_fd) {
     }
   }
   const std::string response = HandleRequest(path);
+  // MSG_NOSIGNAL: a scraper that resets the connection mid-response ends
+  // this response with an error instead of killing the process by SIGPIPE.
   size_t off = 0;
   while (off < response.size()) {
-    const ssize_t n =
-        ::write(client_fd, response.data() + off, response.size() - off);
+    const ssize_t n = ::send(client_fd, response.data() + off,
+                             response.size() - off, MSG_NOSIGNAL);
     if (n <= 0) {
       return;
     }
@@ -202,20 +214,14 @@ void MetricsServer::ServeClient(int client_fd) {
 }
 
 std::string MetricsServer::HandleRequest(const std::string& path) const {
-#ifdef CWF_OBS_ENABLED
   // Exposition rendering is itself host time; attribute it so a scrape-heavy
   // run shows up in its own decomposition instead of inflating other phases.
   static const ProfileSite* serialize_site =
       Profiler::Global().Site("<export>", ProfilePhase::kSerialization);
-#endif
   CWF_PROFILE_SCOPE(serialize_site);
   if (path == "/metrics") {
     return HttpResponse("200 OK", "text/plain; version=0.0.4",
                         registry_->RenderPrometheus());
-  }
-  if (path == "/metrics.json") {
-    return HttpResponse("200 OK", "application/json",
-                        registry_->RenderJson());
   }
   if (path == "/top") {
     return HttpResponse("200 OK", "text/tab-separated-values",
@@ -234,19 +240,10 @@ std::string MetricsServer::HandleRequest(const std::string& path) const {
         RenderProfileText(SnapshotProfile(*registry_)) + "\n" +
             RenderCriticalPathText(ComputeCriticalPaths(GlobalTracer())));
   }
-  if (path == "/profile.json") {
-    return HttpResponse(
-        "200 OK", "application/json",
-        "{\"profile\":" + RenderProfileJson(SnapshotProfile(*registry_)) +
-            ",\"critical_path\":" +
-            RenderCriticalPathJson(ComputeCriticalPaths(GlobalTracer())) +
-            "}");
-  }
   if (path == "/") {
     return HttpResponse("200 OK", "text/plain",
                         "confluence metrics server\n"
-                        "endpoints: /metrics /metrics.json /top /trace.json "
-                        "/profile /profile.json\n");
+                        "endpoints: /metrics /top /trace.json /profile\n");
   }
   return HttpResponse("404 Not Found", "text/plain", "not found\n");
 }

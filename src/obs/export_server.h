@@ -2,14 +2,16 @@
 // same loopback-TCP infrastructure as net::IngestServer.
 //
 // Endpoints:
-//   GET /metrics       Prometheus text exposition 0.0.4
-//   GET /metrics.json  JSON snapshot of every instrument
-//   GET /top           TSV per-actor table consumed by tools/cwf_top
-//   GET /trace.json    Chrome trace-event JSON from the global wave tracer
+//   GET /metrics     Prometheus text exposition 0.0.4
+//   GET /top         TSV per-actor table consumed by tools/cwf_top
+//   GET /trace.json  Chrome trace-event JSON from the global wave tracer
+//   GET /profile     host-time phase decomposition TSV + critical paths
 //
 // One accept thread serves requests synchronously (scrapes are cheap and a
 // diagnostics endpoint does not need concurrency); every response closes
-// the connection. Bind to port 0 for an ephemeral port (tests).
+// the connection, and each accepted socket carries a few-second I/O timeout
+// so a stalled client cannot hold the thread. Bind to port 0 for an
+// ephemeral port (tests).
 
 #ifndef CONFLUENCE_OBS_EXPORT_SERVER_H_
 #define CONFLUENCE_OBS_EXPORT_SERVER_H_

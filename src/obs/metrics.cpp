@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
-#include <cinttypes>
-#include <cstdio>
 #include <limits>
 #include <sstream>
 #include <thread>
@@ -56,36 +54,6 @@ std::string RenderKey(const MetricKey& key, const std::string& suffix = "",
     }
     out += extra_label;
     out += '}';
-  }
-  return out;
-}
-
-/// JSON object key for one instrument: `name` or `name{label="value"}`.
-std::string JsonKey(const MetricKey& key) { return RenderKey(key); }
-
-std::string JsonEscape(const std::string& v) {
-  std::string out;
-  out.reserve(v.size());
-  for (char c : v) {
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case '"':
-        out += "\\\"";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
   }
   return out;
 }
@@ -328,57 +296,6 @@ std::string MetricsRegistry::RenderPrometheus() const {
     out << RenderKey(key, "_sum") << " " << snap.sum << "\n";
     out << RenderKey(key, "_count") << " " << snap.count << "\n";
   }
-  return out.str();
-}
-
-std::string MetricsRegistry::RenderJson() const {
-  ScopedLock lock(mutex_);
-  std::ostringstream out;
-  out << "{";
-  out << "\"counters\":{";
-  bool first = true;
-  for (const auto& [key, counter] : counters_) {
-    out << (first ? "" : ",") << "\"" << JsonEscape(JsonKey(key))
-        << "\":" << counter->Value();
-    first = false;
-  }
-  out << "},\"gauges\":{";
-  first = true;
-  for (const auto& [key, gauge] : gauges_) {
-    out << (first ? "" : ",") << "\"" << JsonEscape(JsonKey(key))
-        << "\":{\"value\":" << gauge->Value() << ",\"max\":" << gauge->Max()
-        << "}";
-    first = false;
-  }
-  out << "},\"histograms\":{";
-  first = true;
-  for (const auto& [key, hist] : histograms_) {
-    const HistogramSnapshot snap = hist->Snapshot();
-    char stats[256];
-    std::snprintf(stats, sizeof(stats),
-                  "{\"count\":%" PRIu64 ",\"sum\":%" PRId64
-                  ",\"max\":%" PRId64
-                  ",\"mean\":%.3f,\"p50\":%.3f,\"p95\":%.3f,\"p99\":%.3f,"
-                  "\"buckets\":[",
-                  snap.count, snap.sum, snap.max, snap.mean, snap.p50,
-                  snap.p95, snap.p99);
-    out << (first ? "" : ",") << "\"" << JsonEscape(JsonKey(key))
-        << "\":" << stats;
-    bool first_bucket = true;
-    for (const auto& [bound, count] : snap.buckets) {
-      out << (first_bucket ? "" : ",") << "[";
-      if (bound == std::numeric_limits<int64_t>::max()) {
-        out << "\"+Inf\"";
-      } else {
-        out << bound;
-      }
-      out << "," << count << "]";
-      first_bucket = false;
-    }
-    out << "]}";
-    first = false;
-  }
-  out << "}}";
   return out.str();
 }
 

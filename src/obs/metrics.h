@@ -8,12 +8,9 @@
 // valid for the registry's lifetime (Reset() zeroes values but never
 // invalidates pointers).
 //
-// Export formats: Prometheus text exposition (RenderPrometheus) and a JSON
-// snapshot (RenderJson); both are served over TCP by obs::MetricsServer.
-//
-// Compile-time removal: the hook *sites* in core/directors vanish when the
-// CMake option CONFLUENCE_OBS is OFF (macro CWF_OBS_ENABLED undefined); the
-// classes here always compile so export surfaces and tools keep building.
+// Export format: Prometheus text exposition (RenderPrometheus), served over
+// TCP by obs::MetricsServer. The runtime toggles below are the only on/off
+// switches for telemetry.
 
 #ifndef CONFLUENCE_OBS_METRICS_H_
 #define CONFLUENCE_OBS_METRICS_H_
@@ -30,7 +27,7 @@
 namespace cwf::obs {
 
 // ---------------------------------------------------------------------------
-// Runtime toggles (independent of the compile-time CONFLUENCE_OBS gate).
+// Runtime toggles.
 // Metrics default ON, tracing default OFF (tracing buffers every firing).
 // ---------------------------------------------------------------------------
 
@@ -215,10 +212,6 @@ class MetricsRegistry {
 
   /// \brief Prometheus text exposition format 0.0.4.
   std::string RenderPrometheus() const;
-
-  /// \brief JSON snapshot: {"counters":{...},"gauges":{...},
-  /// "histograms":{...}} with histogram percentiles precomputed.
-  std::string RenderJson() const;
 
   /// \brief Distinct label values seen for `name` (e.g. every actor with a
   /// firings counter) in sorted order — drives the /top table.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cinttypes>
 #include <cstdio>
 #include <sstream>
 #include <unordered_map>
@@ -30,27 +29,6 @@ std::string PhaseNsMetricName(ProfilePhase phase) {
 std::string PhaseSamplesMetricName(ProfilePhase phase) {
   return std::string("cwf_profile_") + ProfilePhaseName(phase) +
          "_samples_total";
-}
-
-std::string JsonEscape(const std::string& v) {
-  std::string out;
-  out.reserve(v.size());
-  for (char c : v) {
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case '"':
-        out += "\\\"";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
 }
 
 std::string FormatPct(double fraction) {
@@ -313,22 +291,6 @@ std::string RenderProfileText(const ProfileSnapshot& snapshot) {
   return out.str();
 }
 
-std::string RenderProfileJson(const ProfileSnapshot& snapshot) {
-  std::ostringstream out;
-  out << "{\"wall_us\":" << snapshot.wall_ns / 1000 << ",\"coverage_pct\":"
-      << FormatPct(snapshot.CoverageFraction()) << ",\"entries\":[";
-  bool first = true;
-  for (const ProfileEntry& e : snapshot.entries) {
-    if (!first) out << ',';
-    first = false;
-    out << "{\"actor\":\"" << JsonEscape(e.actor) << "\",\"phase\":\""
-        << ProfilePhaseName(e.phase) << "\",\"self_us\":" << e.self_ns / 1000
-        << ",\"samples\":" << e.samples << '}';
-  }
-  out << "]}";
-  return out.str();
-}
-
 // ---------------------------------------------------------------------------
 // Critical-path attribution
 // ---------------------------------------------------------------------------
@@ -475,7 +437,6 @@ CriticalPathReport ComputeCriticalPaths(const WaveTracer& tracer,
               return a.terminal_actor < b.terminal_actor;
             });
 
-#ifdef CWF_OBS_ENABLED
   // Mirror the truncation count so scrapes see it without recomputing the
   // report; Set (not Add) keeps recomputation idempotent.
   MetricsRegistry& registry = MetricsRegistry::Global();
@@ -484,7 +445,6 @@ CriticalPathReport ComputeCriticalPaths(const WaveTracer& tracer,
                    "because trace-ring wraparound evicted their birth span.");
   registry.GetGauge("cwf_trace_truncated_waves")
       ->Set(static_cast<int64_t>(report.truncated_waves));
-#endif
   return report;
 }
 
@@ -506,33 +466,6 @@ std::string RenderCriticalPathText(const CriticalPathReport& report) {
           << "us " << FormatPct(c.share) << "%\n";
     }
   }
-  return out.str();
-}
-
-std::string RenderCriticalPathJson(const CriticalPathReport& report) {
-  std::ostringstream out;
-  out << "{\"waves_analyzed\":" << report.waves_analyzed
-      << ",\"truncated_waves\":" << report.truncated_waves << ",\"groups\":[";
-  bool first_group = true;
-  for (const CriticalPathGroup& group : report.groups) {
-    if (!first_group) out << ',';
-    first_group = false;
-    out << "{\"terminal\":\"" << JsonEscape(group.terminal_actor)
-        << "\",\"waves\":" << group.waves
-        << ",\"total_latency_us\":" << group.total_latency_us
-        << ",\"contributors\":[";
-    bool first = true;
-    for (const CriticalPathContributor& c : group.top) {
-      if (!first) out << ',';
-      first = false;
-      out << "{\"actor\":\"" << JsonEscape(c.actor) << "\",\"kind\":\""
-          << (c.queueing ? "queueing" : "processing")
-          << "\",\"total_us\":" << c.total_us
-          << ",\"share_pct\":" << FormatPct(c.share) << '}';
-    }
-    out << "]}";
-  }
-  out << "]}";
   return out.str();
 }
 

@@ -17,15 +17,13 @@
 //    MetricsRegistry counters (relaxed atomics, no lock) when full, when the
 //    thread exits, or on FlushCurrentThread(). The hot path never takes the
 //    registry lock — sites are resolved once, at Director::Initialize.
-//  * Compile-out: hook sites vanish when CONFLUENCE_OBS is OFF (macro
-//    CWF_PROFILE_SCOPE expands to nothing); at runtime a single relaxed
-//    atomic gate (SetProfilingEnabled, default OFF) keeps the cost of a
-//    compiled-in but disabled profiler to one load per scope.
+//  * Runtime gate: a single relaxed atomic (SetProfilingEnabled, default
+//    OFF) keeps the cost of a disabled profiler to one load per scope.
 //
 // Aggregates land in MetricsRegistry::Global() as one counter family per
 // phase (`cwf_profile_<phase>_ns_total{actor=...}` plus a sample counter)
-// and export through the MetricsServer's /profile and /profile.json
-// endpoints next to the regular exposition.
+// and export through the MetricsServer's /profile endpoint next to the
+// regular exposition.
 
 #ifndef CONFLUENCE_OBS_PROFILE_H_
 #define CONFLUENCE_OBS_PROFILE_H_
@@ -70,9 +68,9 @@ const char* ProfilePhaseName(ProfilePhase phase);
 ProfilePhase ProfilePhaseAt(size_t index);
 
 // ---------------------------------------------------------------------------
-// Runtime toggle (independent of the CONFLUENCE_OBS compile-time gate).
-// Default OFF: profiling spends two clock reads per scope, so it is opt-in
-// per process (cwf_lrb_serve --profile, SetProfilingEnabled in code).
+// Runtime toggle. Default OFF: profiling spends two clock reads per scope,
+// so it is opt-in per process (cwf_lrb_serve --profile, SetProfilingEnabled
+// in code).
 // ---------------------------------------------------------------------------
 
 bool ProfilingEnabled();
@@ -159,9 +157,7 @@ class ScopedProfileWall {
   int64_t start_ns_;
 };
 
-// The hook-site macro: compiles to nothing when telemetry is off, so an
-// -DCONFLUENCE_OBS=OFF build carries zero profiler hooks.
-#ifdef CWF_OBS_ENABLED
+// The hook-site macros: an anonymous scope object per use.
 #define CWF_PROFILE_CONCAT_INNER(a, b) a##b
 #define CWF_PROFILE_CONCAT(a, b) CWF_PROFILE_CONCAT_INNER(a, b)
 #define CWF_PROFILE_SCOPE(site)                   \
@@ -170,10 +166,6 @@ class ScopedProfileWall {
 #define CWF_PROFILE_WALL_SCOPE()                     \
   ::cwf::obs::ScopedProfileWall CWF_PROFILE_CONCAT( \
       cwf_profile_wall_, __LINE__)
-#else
-#define CWF_PROFILE_SCOPE(site) static_cast<void>(0)
-#define CWF_PROFILE_WALL_SCOPE() static_cast<void>(0)
-#endif
 
 // ---------------------------------------------------------------------------
 // Snapshot + rendering (the /profile endpoint and cwf_top --profile)
@@ -204,9 +196,6 @@ ProfileSnapshot SnapshotProfile(MetricsRegistry& registry);
 /// (actor, phase) — the machine-readable side consumed by cwf_top
 /// --profile.
 std::string RenderProfileText(const ProfileSnapshot& snapshot);
-
-/// \brief JSON: {"wall_us":..,"coverage_pct":..,"entries":[...]}.
-std::string RenderProfileJson(const ProfileSnapshot& snapshot);
 
 // ---------------------------------------------------------------------------
 // Per-wave critical-path attribution
@@ -248,7 +237,6 @@ CriticalPathReport ComputeCriticalPaths(const WaveTracer& tracer,
                                         size_t top_n = 3);
 
 std::string RenderCriticalPathText(const CriticalPathReport& report);
-std::string RenderCriticalPathJson(const CriticalPathReport& report);
 
 }  // namespace cwf::obs
 

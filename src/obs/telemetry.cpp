@@ -53,7 +53,6 @@ void RegisterHelp(MetricsRegistry& reg) {
 
 void WorkflowTelemetry::Bind(const Workflow& workflow,
                              const char* director_kind) {
-#ifdef CWF_OBS_ENABLED
   actors_.clear();
   MetricsRegistry& reg = MetricsRegistry::Global();
   RegisterHelp(reg);
@@ -83,15 +82,10 @@ void WorkflowTelemetry::Bind(const Workflow& workflow,
     ai.profile.postfire = profiler.Site(name, ProfilePhase::kPostfire);
     actors_.emplace(actor.get(), ai);
   }
-#else
-  (void)workflow;
-  (void)director_kind;
-#endif
 }
 
 const ReceiverProbe* WorkflowTelemetry::CreateReceiverProbe(
     const std::string& port_name, size_t channel) {
-#ifdef CWF_OBS_ENABLED
   std::string label = port_name;
   if (channel > 0) {
     label += "#" + std::to_string(channel);
@@ -117,22 +111,12 @@ const ReceiverProbe* WorkflowTelemetry::CreateReceiverProbe(
     it->second.blocked_site = profiler.Site(label, ProfilePhase::kBlocked);
   }
   return &it->second;
-#else
-  (void)port_name;
-  (void)channel;
-  return nullptr;
-#endif
 }
 
 const WorkflowTelemetry::ActorInstruments* WorkflowTelemetry::Find(
     const Actor* actor) const {
   auto it = actors_.find(actor);
   return it == actors_.end() ? nullptr : &it->second;
-}
-
-uint32_t WorkflowTelemetry::TrackFor(const Actor* actor) const {
-  const ActorInstruments* ai = Find(actor);
-  return ai == nullptr ? 0 : ai->tid;
 }
 
 WorkflowTelemetry::ActorProfileSites WorkflowTelemetry::ProfileSitesFor(
@@ -142,7 +126,6 @@ WorkflowTelemetry::ActorProfileSites WorkflowTelemetry::ProfileSitesFor(
 }
 
 void WorkflowTelemetry::RecordFiring(const FiringRecord& record) {
-#ifdef CWF_OBS_ENABLED
   const ActorInstruments* ai = Find(record.actor);
   if (ai == nullptr) {
     return;
@@ -164,39 +147,25 @@ void WorkflowTelemetry::RecordFiring(const FiringRecord& record) {
     GlobalTracer().OnFiring(ai->tid, record.wave, record.start, record.end,
                             record.consumed, record.emitted);
   }
-#else
-  (void)record;
-#endif
 }
 
 void WorkflowTelemetry::RecordArrival(const Actor* actor, size_t n) {
-#ifdef CWF_OBS_ENABLED
   const ActorInstruments* ai = Find(actor);
   if (ai != nullptr && MetricsEnabled()) {
     ai->arrived->Add(n);
   }
-#else
-  (void)actor;
-  (void)n;
-#endif
 }
 
 void WorkflowTelemetry::RecordQueueDepth(const Actor* actor,
                                          uint64_t high_water) {
-#ifdef CWF_OBS_ENABLED
   const ActorInstruments* ai = Find(actor);
   if (ai != nullptr && MetricsEnabled()) {
     ai->queue_hwm->Set(static_cast<int64_t>(high_water));
   }
-#else
-  (void)actor;
-  (void)high_water;
-#endif
 }
 
 void WorkflowTelemetry::RecordDecision(const Actor* chosen,
                                        size_t queued_events, Timestamp now) {
-#ifdef CWF_OBS_ENABLED
   const ActorInstruments* ai = Find(chosen);
   if (ai == nullptr) {
     return;
@@ -208,22 +177,13 @@ void WorkflowTelemetry::RecordDecision(const Actor* chosen,
   if (TracingEnabled()) {
     GlobalTracer().Instant(ai->tid, now);
   }
-#else
-  (void)chosen;
-  (void)queued_events;
-  (void)now;
-#endif
 }
 
 void WorkflowTelemetry::RecordBackpressureDeferral(const Actor* actor) {
-#ifdef CWF_OBS_ENABLED
   const ActorInstruments* ai = Find(actor);
   if (ai != nullptr && MetricsEnabled()) {
     ai->deferrals->Add(1);
   }
-#else
-  (void)actor;
-#endif
 }
 
 }  // namespace cwf::obs

@@ -6,10 +6,10 @@
 //    CreateReceiverProbe). The hot-path hooks touch nothing but relaxed
 //    atomics and one read-only map lookup — the registry lock is never
 //    taken while the workflow runs.
-//  * Every sink is gated — at compile time by CWF_OBS_ENABLED (CMake option
-//    CONFLUENCE_OBS) and at runtime by obs::MetricsEnabled() /
-//    obs::TracingEnabled(). Nothing the engine needs to run (the STAFiLOS
-//    statistics module included) is fed from here.
+//  * Every sink is gated at runtime by obs::MetricsEnabled() /
+//    obs::TracingEnabled(); those toggles are the only on/off switches.
+//    Nothing the engine needs to run (the STAFiLOS statistics module
+//    included) is fed from here.
 //  * Host time per phase is the profiler's job (CWF_PROFILE_SCOPE, resolved
 //    here as ActorProfileSites); the firing record carries engine time only.
 //  * All directors share one process-global WaveTracer so composite
@@ -46,16 +46,14 @@ void ResetGlobalTracer();
 
 /// \brief Per-channel receiver instruments, resolved when the director
 /// builds the receiver. Receivers hold a const pointer and update through
-/// Receiver::RecordDepth/NoteGet/NoteBlockedMicros; nullptr (telemetry
-/// compiled out, or a boundary collector built outside a director) means no
-/// instrumentation.
+/// Receiver::RecordDepth/NoteGet/NoteBlockedMicros; nullptr (a boundary
+/// collector built outside a director) means no instrumentation.
 struct ReceiverProbe {
   Counter* puts = nullptr;        ///< cwf_receiver_puts_total{port}
   Counter* gets = nullptr;        ///< cwf_receiver_gets_total{port}
   Gauge* depth = nullptr;         ///< cwf_receiver_depth{port}; Max = HWM
   Counter* blocked_us = nullptr;  ///< cwf_receiver_blocked_us_total{port}
-  /// Host-profiler cells for this channel (labelled by port name); nullptr
-  /// only when the whole probe is (compiled-out telemetry).
+  /// Host-profiler cells for this channel (labelled by port name).
   const ProfileSite* put_site = nullptr;      ///< receiver_put phase
   const ProfileSite* get_site = nullptr;      ///< receiver_get phase
   const ProfileSite* blocked_site = nullptr;  ///< blocked phase
@@ -86,14 +84,12 @@ class WorkflowTelemetry {
   WorkflowTelemetry& operator=(const WorkflowTelemetry&) = delete;
 
   /// \brief Resolve per-actor instruments against the global registry and
-  /// register trace tracks for every actor of `workflow`. No-op when
-  /// telemetry is compiled out.
+  /// register trace tracks for every actor of `workflow`.
   void Bind(const Workflow& workflow, const char* director_kind);
 
   /// \brief Resolve the per-channel receiver instruments for the channel
-  /// into `port_name` (channel > 0 gets a "#<channel>" suffix). Returns
-  /// nullptr when telemetry is compiled out. Stable for the process
-  /// lifetime; independent of Bind().
+  /// into `port_name` (channel > 0 gets a "#<channel>" suffix). Stable for
+  /// the process lifetime; independent of Bind().
   const ReceiverProbe* CreateReceiverProbe(const std::string& port_name,
                                            size_t channel);
 
@@ -121,36 +117,23 @@ class WorkflowTelemetry {
   /// \brief One event was stamped and broadcast to `fanout` receivers
   /// (Director::FlushActorOutputs). Births waves in the tracer.
   void RecordEmit(const CWEvent& event, size_t fanout, Timestamp now) {
-#ifdef CWF_OBS_ENABLED
     if (events_emitted_ != nullptr && MetricsEnabled()) {
       events_emitted_->Add(1);
     }
     if (TracingEnabled()) {
       GlobalTracer().OnEventEmitted(event.wave, event.timestamp, now, fanout);
     }
-#else
-    (void)event;
-    (void)fanout;
-    (void)now;
-#endif
   }
 
-  /// \brief Whether metric sinks are live: compiled in, enabled, and bound.
+  /// \brief Whether metric sinks are live: enabled and bound.
   /// Lets a director skip building a record no sink would read.
   bool metrics_active() const {
-#ifdef CWF_OBS_ENABLED
     return !actors_.empty() && MetricsEnabled();
-#else
-    return false;
-#endif
   }
 
-  /// \brief Trace track (tid) of `actor`; 0 when unknown / unbound.
-  uint32_t TrackFor(const Actor* actor) const;
-
   /// \brief Host-profiler cells of one actor's firing phases, resolved at
-  /// Bind. All-null when the actor is unbound or telemetry is compiled out
-  /// (CWF_PROFILE_SCOPE(nullptr) is inert, so callers never branch).
+  /// Bind. All-null when the actor is unbound (CWF_PROFILE_SCOPE(nullptr)
+  /// is inert, so callers never branch).
   struct ActorProfileSites {
     const ProfileSite* prefire = nullptr;
     const ProfileSite* fire = nullptr;

@@ -9,10 +9,12 @@
 // in receiver queues since it last finished processing anywhere.
 //
 // Spans land in a bounded ring buffer (oldest events are overwritten; the
-// drop count is reported) and export as Chrome trace-event JSON — load the
-// file in Perfetto (ui.perfetto.dev) or chrome://tracing. Timestamps are
-// engine time (virtual or real), so a virtual-clock Linear Road run renders
-// its full 600-second timeline.
+// drop count is reported) and export as Chrome trace-event JSON (the
+// MetricsServer's /trace.json) — load the file in Perfetto
+// (ui.perfetto.dev) or chrome://tracing. Timestamps are engine time
+// (virtual or real), so a virtual-clock Linear Road run renders its full
+// 600-second timeline. Recording is switched at runtime only
+// (SetTracingEnabled, default OFF).
 
 #ifndef CONFLUENCE_OBS_TRACE_BUFFER_H_
 #define CONFLUENCE_OBS_TRACE_BUFFER_H_

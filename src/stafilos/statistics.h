@@ -81,7 +81,7 @@ struct ActorStats {
 ///
 /// The SCWF director feeds it directly at the same points where it calls
 /// its telemetry hooks, unconditionally: schedulers need statistics even
-/// with metrics collection off or telemetry compiled out.
+/// with metrics collection off.
 class ActorStatistics {
  public:
   /// \brief EWMA smoothing factor for costs and rates.

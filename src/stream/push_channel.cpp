@@ -1,25 +1,19 @@
 #include "stream/push_channel.h"
 
 #include "common/check.h"
-
-#ifdef CWF_OBS_ENABLED
 #include "obs/metrics.h"
-#include "obs/telemetry.h"
-#endif
 
 namespace cwf {
 
 namespace {
 
 void BumpSchemaViolationCounter() {
-#ifdef CWF_OBS_ENABLED
   if (obs::MetricsEnabled()) {
     obs::MetricsRegistry::Global().SetHelp(
         "cwf_schema_violations",
         "Tokens rejected by the runtime channel schema check (CWF7008)");
     obs::MetricsRegistry::Global().GetCounter("cwf_schema_violations")->Add(1);
   }
-#endif
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <cmath>
 
 #include "lrb/harness.h"
+#include "obs/metrics.h"
+#include "obs/profile.h"
 
 namespace cwf::lrb {
 namespace {
@@ -36,14 +38,27 @@ INSTANTIATE_TEST_SUITE_P(
                       SchedulerKind::kEDF, SchedulerKind::kPNCWF),
     [](const auto& info) { return SchedulerKindName(info.param); });
 
+void SetAllTelemetry(bool metrics, bool tracing, bool profiling) {
+  obs::SetMetricsEnabled(metrics);
+  obs::SetTracingEnabled(tracing);
+  obs::SetProfilingEnabled(profiling);
+}
+
+// Run 1 is uninstrumented, run 2 has every telemetry sink on: the runtime
+// toggles must not change a single answer the engine computes.
 TEST(HarnessTest, DeterministicAcrossRuns) {
+  SetAllTelemetry(false, false, false);
   auto r1 = RunLRBExperiment(ShortExperiment(SchedulerKind::kQBS));
+  SetAllTelemetry(true, true, true);
   auto r2 = RunLRBExperiment(ShortExperiment(SchedulerKind::kQBS));
+  SetAllTelemetry(/*metrics=*/true, /*tracing=*/false, /*profiling=*/false);
   ASSERT_TRUE(r1.ok());
   ASSERT_TRUE(r2.ok());
+  EXPECT_EQ(r1->tolls_calculated, r2->tolls_calculated);
+  EXPECT_EQ(r1->accidents_recorded, r2->accidents_recorded);
+  EXPECT_EQ(r1->total_firings, r2->total_firings);
   EXPECT_EQ(r1->toll_notifications, r2->toll_notifications);
   EXPECT_DOUBLE_EQ(r1->toll_avg_response_s, r2->toll_avg_response_s);
-  EXPECT_EQ(r1->total_firings, r2->total_firings);
 }
 
 TEST(HarnessTest, SchedulerKindNames) {

@@ -1,12 +1,15 @@
 // Export-surface integration: a short Linear Road segment runs with the
 // metrics server attached, and the /metrics exposition scraped over real
 // TCP must be well-formed Prometheus 0.0.4 text (the CI obs lane's gate).
+// Misbehaving clients (a reset mid-response, a connection that never sends
+// its request) must not kill or wedge the server.
 
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <cstring>
@@ -22,9 +25,14 @@
 namespace cwf::obs {
 namespace {
 
-std::string Fetch(uint16_t port, const std::string& path) {
+/// A loopback client socket connected to `port`; a positive `rcvbuf` pins
+/// the receive buffer (set before connect, so the window stays small).
+int Connect(uint16_t port, int rcvbuf = 0) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   EXPECT_GE(fd, 0);
+  if (rcvbuf > 0) {
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  }
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
@@ -32,6 +40,16 @@ std::string Fetch(uint16_t port, const std::string& path) {
   EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
             0)
       << std::strerror(errno);
+  return fd;
+}
+
+/// GET `path` and return the raw response. A client-side receive timeout
+/// bounds every read, so a wedged server fails the test instead of hanging
+/// it.
+std::string Fetch(uint16_t port, const std::string& path) {
+  const int fd = Connect(port);
+  const timeval timeout{10, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
   const std::string request = "GET " + path + " HTTP/1.0\r\n\r\n";
   EXPECT_EQ(::write(fd, request.data(), request.size()),
             static_cast<ssize_t>(request.size()));
@@ -112,9 +130,6 @@ void ValidateExposition(const std::string& text) {
 }
 
 TEST(ExportHttpTest, TracedLRBSegmentServesValidMetrics) {
-#ifndef CWF_OBS_ENABLED
-  GTEST_SKIP() << "built with CONFLUENCE_OBS=OFF";
-#endif
   MetricsRegistry::Global().Reset();
   SetTracingEnabled(true);
 
@@ -140,9 +155,10 @@ TEST(ExportHttpTest, TracedLRBSegmentServesValidMetrics) {
             std::string::npos);
   EXPECT_NE(exposition.find("cwf_wave_latency_us_count"), std::string::npos);
 
-  // 2. JSON snapshot and /top render over the same connection path.
-  const std::string json = Body(Fetch(server.port(), "/metrics.json"));
-  EXPECT_NE(json.find("\"counters\""), std::string::npos);
+  // 2. /profile and /top render over the same connection path.
+  const std::string profile = Body(Fetch(server.port(), "/profile"));
+  EXPECT_NE(profile.find("actor\tphase\tself_us\tsamples\tpct_wall\n"),
+            std::string::npos);
   const std::string top = Body(Fetch(server.port(), "/top"));
   EXPECT_EQ(top.rfind("# ts_us ", 0), 0u);
   EXPECT_NE(top.find("TollNotification"), std::string::npos);
@@ -156,6 +172,53 @@ TEST(ExportHttpTest, TracedLRBSegmentServesValidMetrics) {
   EXPECT_EQ(Fetch(server.port(), "/nope").rfind("HTTP/1.0 404", 0), 0u);
 
   EXPECT_GE(server.requests_served(), 5u);
+  server.Stop();
+}
+
+TEST(ExportHttpTest, ClientResetMidResponseKeepsServing) {
+  // ~16 MB of exposition: far more than the server's send buffer (at most
+  // 4 MB under Linux's default tcp_wmem) plus the client's pinned 4 KB
+  // receive buffer, so the server is still sending when the reset lands.
+  MetricsRegistry registry;
+  const std::string padding(1000, 'x');
+  for (int i = 0; i < 16 * 1024; ++i) {
+    registry.GetCounter("big_total", "actor", padding + std::to_string(i))
+        ->Add(1);
+  }
+  MetricsServer server(&registry);
+  ASSERT_TRUE(server.Start(0).ok());
+
+  const int fd = Connect(server.port(), /*rcvbuf=*/4096);
+  const std::string request = "GET /metrics HTTP/1.0\r\n\r\n";
+  ASSERT_EQ(::write(fd, request.data(), request.size()),
+            static_cast<ssize_t>(request.size()));
+  // Half-close first: the reset then reaches a server socket in CLOSE_WAIT,
+  // where Linux reports it to the next send as EPIPE, the SIGPIPE case.
+  ::shutdown(fd, SHUT_WR);
+  char byte;
+  ASSERT_EQ(::read(fd, &byte, 1), 1);
+  // Linger {on, 0s}: close() sends RST instead of FIN.
+  const linger reset{1, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_LINGER, &reset, sizeof(reset));
+  ::close(fd);
+
+  EXPECT_EQ(Fetch(server.port(), "/").rfind("HTTP/1.0 200 OK", 0), 0u);
+  server.Stop();
+}
+
+TEST(ExportHttpTest, SilentClientDoesNotBlockOtherScrapes) {
+  MetricsRegistry registry;
+  registry.GetCounter("up_total")->Add(1);
+  MetricsServer server(&registry);
+  ASSERT_TRUE(server.Start(0).ok());
+
+  // Connects and never sends a request line.
+  const int silent = Connect(server.port());
+  const std::string response = Fetch(server.port(), "/metrics");
+  EXPECT_EQ(response.rfind("HTTP/1.0 200 OK", 0), 0u);
+  EXPECT_NE(Body(response).find("up_total 1"), std::string::npos);
+  // Closed before Stop() so a server without I/O timeouts still joins.
+  ::close(silent);
   server.Stop();
 }
 

@@ -216,17 +216,6 @@ TEST(MetricsRegistryTest, PrometheusExpositionShape) {
   EXPECT_EQ(text.back(), '\n');
 }
 
-TEST(MetricsRegistryTest, JsonSnapshotContainsInstruments) {
-  MetricsRegistry reg;
-  reg.GetCounter("c_total")->Add(2);
-  reg.GetHistogram("h_us")->Record(64);
-  const std::string json = reg.RenderJson();
-  EXPECT_NE(json.find("\"counters\""), std::string::npos);
-  EXPECT_NE(json.find("\"c_total\":2"), std::string::npos);
-  EXPECT_NE(json.find("\"h_us\""), std::string::npos);
-  EXPECT_NE(json.find("\"p95\""), std::string::npos);
-}
-
 // --- Concurrency (meaningful under -L tsan) -------------------------------
 
 TEST(MetricsConcurrencyTest, CountersSumAcrossThreads) {
@@ -286,7 +275,6 @@ TEST(MetricsConcurrencyTest, RegistryLookupsRaceWithRendering) {
   threads.emplace_back([&reg] {
     for (int i = 0; i < 50; ++i) {
       (void)reg.RenderPrometheus();
-      (void)reg.RenderJson();
     }
   });
   for (auto& t : threads) {

@@ -59,9 +59,6 @@ class TelemetryTest : public ::testing::Test {
 };
 
 TEST_F(TelemetryTest, FiringMetricsLandInGlobalRegistry) {
-#ifndef CWF_OBS_ENABLED
-  GTEST_SKIP() << "built with CONFLUENCE_OBS=OFF";
-#endif
   Rig rig;
   rig.Feed(12);
   SCWFDirector d(std::make_unique<FIFOScheduler>());
@@ -89,9 +86,6 @@ TEST_F(TelemetryTest, FiringMetricsLandInGlobalRegistry) {
 }
 
 TEST_F(TelemetryTest, ReceiverProbesCountPutsGetsAndDepth) {
-#ifndef CWF_OBS_ENABLED
-  GTEST_SKIP() << "built with CONFLUENCE_OBS=OFF";
-#endif
   Rig rig;
   rig.Feed(7);
   SCWFDirector d(std::make_unique<FIFOScheduler>());
@@ -159,9 +153,6 @@ TEST_F(TelemetryTest, InitializeReEntryResetsPerRunState) {
 }
 
 TEST_F(TelemetryTest, TopTsvRendersBoundActors) {
-#ifndef CWF_OBS_ENABLED
-  GTEST_SKIP() << "built with CONFLUENCE_OBS=OFF";
-#endif
   Rig rig;
   rig.Feed(4);
   SCWFDirector d(std::make_unique<FIFOScheduler>());
@@ -225,9 +216,6 @@ void ExpectCostIsEngineTime(bool metrics_at_start) {
 }
 
 TEST_F(TelemetryTest, DdfAndSdfCostIsEngineTimeWithMetricsOnOrOff) {
-#ifndef CWF_OBS_ENABLED
-  GTEST_SKIP() << "built with CONFLUENCE_OBS=OFF";
-#endif
   for (bool metrics_at_start : {true, false}) {
     SCOPED_TRACE(metrics_at_start ? "metrics on" : "metrics off");
     {

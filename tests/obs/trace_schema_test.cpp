@@ -22,15 +22,6 @@
 namespace cwf {
 namespace {
 
-#ifndef CWF_OBS_ENABLED
-
-// The tracer hook sites are compiled out; there is no trace to validate.
-TEST(TraceSchemaTest, SkippedWhenObservabilityCompiledOut) {
-  GTEST_SKIP() << "built with CONFLUENCE_OBS=OFF";
-}
-
-#else
-
 /// Extracts the string value of `"key":"..."` or npos-driven failure.
 bool StrField(const std::string& line, const std::string& key,
               std::string* out) {
@@ -246,8 +237,6 @@ TEST_F(TraceSchemaTest, TracerCountsWavesClosed) {
             obs::GlobalTracer().waves_closed());
   EXPECT_EQ(obs::GlobalTracer().live_waves(), 0u);
 }
-
-#endif  // CWF_OBS_ENABLED
 
 }  // namespace
 }  // namespace cwf

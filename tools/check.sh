@@ -93,18 +93,6 @@ grep -q '^cwf_ingest_accepted_total 500' "${ING_TMP}/metrics.txt"
 grep -q '^cwf_ingest_tuples_total{channel="lrb"} 5000' "${ING_TMP}/metrics.txt"
 rm -rf "${ING_TMP}"
 
-echo "==> [obs-off] profiler hooks compile out (-DCONFLUENCE_OBS=OFF)"
-cmake -B build-noobs -S . "${GENERATOR_ARGS[@]}" -DCONFLUENCE_OBS=OFF > /dev/null
-cmake --build build-noobs -j "${JOBS}" --target confluence cwf_lrb_serve \
-  bench_compare obs_profile_test > /dev/null
-# A compiled-out build must not reference the profile scope machinery from
-# the hot-path objects (the classes still exist for tests and tools).
-if nm build-noobs/src/CMakeFiles/confluence.dir/core/port.cpp.o 2> /dev/null |
-    grep -q ScopedProfilePhase; then
-  echo "error: port.cpp still references ScopedProfilePhase with OBS off" >&2
-  exit 1
-fi
-
 if [[ "${FAST}" == "0" ]]; then
   TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
     run_matrix_entry tsan build-tsan -DCONFLUENCE_SANITIZE=thread

@@ -323,8 +323,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--access-log" && i + 1 < argc) {
       options.access_log_path = argv[++i];
     } else if (arg == "--no-metrics") {
-      // Runtime-disable the metrics sinks (the compiled-out comparison
-      // point for the overhead measurement in docs/OBSERVABILITY.md).
+      // Runtime-disable the metrics sinks (the baseline for the overhead
+      // measurement in docs/OBSERVABILITY.md).
       cwf::obs::SetMetricsEnabled(false);
     } else {
       return Usage(argv[0]);
