@@ -13,6 +13,7 @@
 #include "stafilos/rb_scheduler.h"
 #include "stafilos/rr_scheduler.h"
 #include "stream/stream_source.h"
+#include "window/windowed_receiver.h"
 
 namespace cwf {
 namespace {
@@ -20,7 +21,8 @@ namespace {
 // Baseline: invoking actor logic directly, no framework.
 void BM_DirectActorInvocation(benchmark::State& state) {
   MapActor map("m", [](const Token& t) { return Token(t.AsInt() + 1); });
-  map.in()->SetReceiver(0, std::make_unique<QueueReceiver>(map.in()));
+  map.in()->SetReceiver(0, std::make_unique<WindowedReceiver>(
+                               map.in(), WindowSpec::SingleEvent()));
   ExecutionContext ctx;
   VirtualClock clock;
   ctx.clock = &clock;

@@ -21,7 +21,7 @@ InputPort* CompositeActor::ExposeInput(const std::string& name,
   // The boundary inherits the inner port's schema requirement so outer
   // channels are checked against it without a separate declaration.
   outer->set_required_schema(inner_port->required_schema());
-  input_bindings_.push_back({outer, inner_port, nullptr});
+  input_bindings_.push_back({outer, inner_port, nullptr, std::nullopt});
   return outer;
 }
 
@@ -48,7 +48,9 @@ Status CompositeActor::Initialize(ExecutionContext* ctx) {
       inner_director_->Initialize(&inner_workflow_, ctx->clock, cost_model));
 
   // Wire boundary inputs: an exposed inner port gets a receiver from the
-  // inner director; outer events are deposited into it directly.
+  // inner director; outer events are deposited into it directly. A
+  // re-Initialize replaces the receiver in the same channel, so nothing a
+  // previous run left behind stays visible to the inner port.
   for (InputBinding& binding : input_bindings_) {
     if (binding.inner->actor() == nullptr ||
         inner_workflow_.FindActor(binding.inner->actor()->name()) !=
@@ -57,11 +59,11 @@ Status CompositeActor::Initialize(ExecutionContext* ctx) {
           "exposed input port does not belong to the inner workflow of " +
           name());
     }
-    std::unique_ptr<Receiver> receiver =
-        inner_director_->CreateReceiver(binding.inner);
-    binding.inner_receiver =
-        binding.inner->SetReceiver(binding.inner->ChannelCount(),
-                                   std::move(receiver));
+    if (!binding.channel.has_value()) {
+      binding.channel = binding.inner->ChannelCount();
+    }
+    binding.inner_receiver = binding.inner->SetReceiver(
+        *binding.channel, inner_director_->CreateReceiver(binding.inner));
     binding.inner_receiver->set_owner(inner_director_.get());
   }
 

@@ -15,6 +15,7 @@
 #define CONFLUENCE_CORE_COMPOSITE_ACTOR_H_
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/actor.h"
@@ -105,6 +106,9 @@ class CompositeActor : public Actor {
     InputPort* outer = nullptr;
     InputPort* inner = nullptr;
     Receiver* inner_receiver = nullptr;  // owned by the inner port
+    /// Inner-port channel holding the boundary receiver, claimed on the
+    /// first Initialize and reused by later ones.
+    std::optional<size_t> channel;
   };
   struct OutputBinding {
     OutputPort* outer = nullptr;

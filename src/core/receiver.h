@@ -9,7 +9,6 @@
 #ifndef CONFLUENCE_CORE_RECEIVER_H_
 #define CONFLUENCE_CORE_RECEIVER_H_
 
-#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
@@ -111,8 +110,8 @@ class Receiver {
   }
 
   /// \brief Highest QueueDepth() ever observed after a deposit. Compared
-  /// against the planner's per-channel bound (tests) and surfaced through
-  /// stafilos::ActorStatistics under the SCWF director.
+  /// against the planner's per-channel bound (tests) and surfaced as the
+  /// cwf_actor_queue_hwm gauge under the SCWF director.
   uint64_t high_water_mark() const { return high_water_mark_; }
   void ResetHighWaterMark() { high_water_mark_ = 0; }
 
@@ -186,36 +185,6 @@ class Receiver {
   size_t capacity_ = 0;
   OverflowPolicy overflow_policy_ = OverflowPolicy::kUnbounded;
   uint64_t high_water_mark_ = 0;
-};
-
-/// \brief The plain FIFO receiver: every event is delivered alone, in arrival
-/// order, as a window of size one. Used for trivial (non-windowed) inputs.
-class QueueReceiver : public Receiver {
- public:
-  explicit QueueReceiver(InputPort* port) : Receiver(port) {}
-
-  Status Put(const CWEvent& event) override {
-    queue_.push_back(event);
-    RecordDepth();
-    return Status::OK();
-  }
-
-  bool HasWindow() const override { return !queue_.empty(); }
-
-  std::optional<Window> Get() override {
-    if (queue_.empty()) {
-      return std::nullopt;
-    }
-    Window w;
-    w.events.push_back(std::move(queue_.front()));
-    queue_.pop_front();
-    return w;
-  }
-
-  size_t ReadyWindowCount() const override { return queue_.size(); }
-
- private:
-  std::deque<CWEvent> queue_;
 };
 
 }  // namespace cwf

@@ -129,20 +129,22 @@ Status SCWFDirector::DispatchActor(Actor* actor) {
     actor->IncrementFirings();
     ++total_firings_;
     fired = true;
-    // Surface the receiver high-water marks (max over input receivers) so
-    // schedulers and tests can compare runtime depth against the planner's
-    // bound without walking the receiver graph themselves.
-    uint64_t high_water = 0;
-    for (const auto& port : actor->input_ports()) {
-      for (size_t c = 0; c < port->ChannelCount(); ++c) {
-        const Receiver* r = port->receiver(c);
-        if (r != nullptr && r->high_water_mark() > high_water) {
-          high_water = r->high_water_mark();
+    // Surface the receiver high-water marks (max over input receivers) as
+    // the cwf_actor_queue_hwm gauge, the runtime counterpart of the
+    // planner's per-channel bound. The gauge is its only reader, so the
+    // walk runs only when metrics are live.
+    if (telemetry_.metrics_active()) {
+      uint64_t high_water = 0;
+      for (const auto& port : actor->input_ports()) {
+        for (size_t c = 0; c < port->ChannelCount(); ++c) {
+          const Receiver* r = port->receiver(c);
+          if (r != nullptr && r->high_water_mark() > high_water) {
+            high_water = r->high_water_mark();
+          }
         }
       }
+      telemetry_.RecordQueueDepth(actor, high_water);
     }
-    stats_.OnQueueDepth(actor, high_water);
-    telemetry_.RecordQueueDepth(actor, high_water);
     auto cont = [&] {
       CWF_PROFILE_SCOPE(sites.postfire);
       return actor->Postfire();
@@ -159,7 +161,7 @@ Status SCWFDirector::DispatchActor(Actor* actor) {
     record.end = clock_->Now();
     const FiringContext& fc = actor->firing_context();
     record.wave = fc.valid ? &fc.wave : nullptr;
-    stats_.OnFiring(actor, cost, consumed, emitted, record.end);
+    stats_.OnFiring(actor, cost, consumed, emitted);
     telemetry_.RecordFiring(record);
     if (!cont.value()) {
       MarkHalted(actor);

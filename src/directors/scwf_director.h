@@ -51,9 +51,7 @@ class SCWFDirector : public Director, public SchedulerHost {
   Timestamp Now() const override { return clock_->Now(); }
   bool SourceHasData(const Actor* actor) const override;
   ActorStatistics* statistics() override { return &stats_; }
-  void NotifyEventsArrived(const Actor* actor, size_t n,
-                           Timestamp now) override {
-    stats_.OnEventsArrived(actor, n, now);
+  void NotifyEventsArrived(const Actor* actor, size_t n) override {
     telemetry_.RecordArrival(actor, n);
   }
 

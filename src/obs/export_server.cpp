@@ -14,84 +14,6 @@
 
 namespace cwf::obs {
 
-std::string RenderTopTsv(const MetricsRegistry& registry) {
-  // The registry creates instruments on lookup, so only label values that
-  // already exist are queried (LabelValues never creates).
-  MetricsRegistry& reg = const_cast<MetricsRegistry&>(registry);
-  std::ostringstream out;
-  out << "# ts_us " << HostMonotonicMicros() << "\n";
-  out << "actor\tfirings\tcost_mean_us\tconsumed\temitted\tarrived\t"
-         "queue_hwm\tblocked_us\tdecisions\tdeferrals\n";
-  const std::vector<std::string> ports =
-      reg.LabelValues("cwf_receiver_blocked_us_total");
-  for (const std::string& actor : reg.LabelValues("cwf_actor_firings_total")) {
-    const uint64_t firings =
-        reg.GetCounter("cwf_actor_firings_total", "actor", actor)->Value();
-    const double cost_mean =
-        reg.GetHistogram("cwf_actor_cost_us", "actor", actor)->Mean();
-    const uint64_t consumed =
-        reg.GetCounter("cwf_actor_events_consumed_total", "actor", actor)
-            ->Value();
-    const uint64_t emitted =
-        reg.GetCounter("cwf_actor_events_emitted_total", "actor", actor)
-            ->Value();
-    const uint64_t arrived =
-        reg.GetCounter("cwf_actor_events_arrived_total", "actor", actor)
-            ->Value();
-    const int64_t hwm =
-        reg.GetGauge("cwf_actor_queue_hwm", "actor", actor)->Max();
-    // Backpressure blocked time is tracked per channel; attribute every
-    // "Actor.port" channel of this actor.
-    uint64_t blocked = 0;
-    const std::string prefix = actor + ".";
-    for (const std::string& port : ports) {
-      if (port.rfind(prefix, 0) == 0) {
-        blocked +=
-            reg.GetCounter("cwf_receiver_blocked_us_total", "port", port)
-                ->Value();
-      }
-    }
-    const uint64_t decisions =
-        reg.GetCounter("cwf_sched_decisions_total", "actor", actor)->Value();
-    const uint64_t deferrals =
-        reg.GetCounter("cwf_backpressure_deferrals_total", "actor", actor)
-            ->Value();
-    out << actor << '\t' << firings << '\t' << cost_mean << '\t' << consumed
-        << '\t' << emitted << '\t' << arrived << '\t' << hwm << '\t'
-        << blocked << '\t' << decisions << '\t' << deferrals << "\n";
-  }
-  // Ingest-server rows ride along as '#' comment lines so the 10-field
-  // actor-row contract above stays untouched (older parsers that skip
-  // comments keep working). Gated on the per-channel tuple counter: it
-  // only exists once an IngestServer resolved its instruments, so a
-  // workflow without network ingest emits no extra lines.
-  const std::vector<std::string> ingest_channels =
-      reg.LabelValues("cwf_ingest_tuples_total");
-  if (!ingest_channels.empty()) {
-    out << "# ingest live="
-        << reg.GetGauge("cwf_ingest_connections")->Value()
-        << " accepted=" << reg.GetCounter("cwf_ingest_accepted_total")->Value()
-        << " rejected=" << reg.GetCounter("cwf_ingest_rejected_total")->Value()
-        << " paused=" << reg.GetGauge("cwf_ingest_backpressure_paused")->Value()
-        << " pauses="
-        << reg.GetCounter("cwf_ingest_backpressure_pauses_total")->Value()
-        << " bytes=" << reg.GetCounter("cwf_ingest_bytes_total")->Value()
-        << " parse_errors="
-        << reg.GetCounter("cwf_ingest_parse_errors_total")->Value()
-        << " schema_rejects="
-        << reg.GetCounter("cwf_ingest_schema_rejects_total")->Value()
-        << " frame_errors="
-        << reg.GetCounter("cwf_ingest_frame_errors_total")->Value() << "\n";
-    for (const std::string& channel : ingest_channels) {
-      out << "# ingest_channel " << channel << " tuples="
-          << reg.GetCounter("cwf_ingest_tuples_total", "channel", channel)
-                 ->Value()
-          << "\n";
-    }
-  }
-  return out.str();
-}
-
 namespace {
 
 /// Receive/send timeout on every accepted connection: one client that never
@@ -223,10 +145,6 @@ std::string MetricsServer::HandleRequest(const std::string& path) const {
     return HttpResponse("200 OK", "text/plain; version=0.0.4",
                         registry_->RenderPrometheus());
   }
-  if (path == "/top") {
-    return HttpResponse("200 OK", "text/tab-separated-values",
-                        RenderTopTsv(*registry_));
-  }
   if (path == "/trace.json") {
     return HttpResponse("200 OK", "application/json",
                         GlobalTracer().RenderChromeJson());
@@ -243,7 +161,7 @@ std::string MetricsServer::HandleRequest(const std::string& path) const {
   if (path == "/") {
     return HttpResponse("200 OK", "text/plain",
                         "confluence metrics server\n"
-                        "endpoints: /metrics /top /trace.json /profile\n");
+                        "endpoints: /metrics /trace.json /profile\n");
   }
   return HttpResponse("404 Not Found", "text/plain", "not found\n");
 }

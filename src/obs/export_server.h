@@ -2,8 +2,8 @@
 // same loopback-TCP infrastructure as net::IngestServer.
 //
 // Endpoints:
-//   GET /metrics     Prometheus text exposition 0.0.4
-//   GET /top         TSV per-actor table consumed by tools/cwf_top
+//   GET /metrics     Prometheus text exposition 0.0.4 (also read by
+//                    tools/cwf_top)
 //   GET /trace.json  Chrome trace-event JSON from the global wave tracer
 //   GET /profile     host-time phase decomposition TSV + critical paths
 //
@@ -25,11 +25,6 @@
 #include "obs/metrics.h"
 
 namespace cwf::obs {
-
-/// \brief Render the /top per-actor TSV table from `registry`. First line
-/// is "# ts_us <host monotonic µs>" (the client's rate time base), second
-/// the column header, then one row per actor known to the registry.
-std::string RenderTopTsv(const MetricsRegistry& registry);
 
 class MetricsServer {
  public:

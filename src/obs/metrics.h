@@ -214,7 +214,7 @@ class MetricsRegistry {
   std::string RenderPrometheus() const;
 
   /// \brief Distinct label values seen for `name` (e.g. every actor with a
-  /// firings counter) in sorted order — drives the /top table.
+  /// firings counter) in sorted order; never creates an instrument.
   std::vector<std::string> LabelValues(const std::string& name) const;
 
   /// \brief Zero every instrument's value. Pointers stay valid — cached

@@ -110,12 +110,10 @@ void AbstractScheduler::Enqueue(Actor* target, ReadyWindow window) {
     shed_events_ += window.window.events.size();
     return;
   }
-  window.enqueued_at = host_->Now();
   window.key_ts = window.window.OldestTimestamp();
   window.key_seq =
       window.window.events.empty() ? 0 : window.window.events.front().seq;
-  host_->NotifyEventsArrived(target, window.window.events.size(),
-                             window.enqueued_at);
+  host_->NotifyEventsArrived(target, window.window.events.size());
   queued_events_ += window.window.events.size();
   if (BufferToNextPeriod()) {
     entry->period_buffer.push_back(std::move(window));
@@ -190,12 +188,10 @@ void AbstractScheduler::OnIterationEnd() {
 }
 
 void AbstractScheduler::OnActorFired(Actor* actor, Duration cost, bool fired) {
+  (void)fired;
   Entry* entry = Find(actor);
   CWF_CHECK(entry != nullptr);
   entry->fired_this_iteration = true;
-  if (fired) {
-    ++entry->firings;
-  }
   if (entry->is_source) {
     internal_firings_since_source_ = 0;
   } else {

@@ -44,7 +44,6 @@ const char* ActorStateName(ActorState state);
 struct ReadyWindow {
   TMWindowedReceiver* receiver = nullptr;
   Window window;
-  Timestamp enqueued_at;
   /// Sort keys (oldest event timestamp; tie-broken by event sequence).
   Timestamp key_ts;
   uint64_t key_seq = 0;
@@ -74,9 +73,8 @@ class SchedulerHost {
   virtual ActorStatistics* statistics() = 0;
 
   /// \brief `n` events were queued toward `actor` (AbstractScheduler::
-  /// Enqueue). The host feeds its statistics module and its telemetry.
-  virtual void NotifyEventsArrived(const Actor* actor, size_t n,
-                                   Timestamp now) = 0;
+  /// Enqueue). The host feeds its telemetry.
+  virtual void NotifyEventsArrived(const Actor* actor, size_t n) = 0;
 };
 
 /// \brief Base class of every pluggable CWf scheduling policy.
@@ -170,7 +168,6 @@ class AbstractScheduler {
     bool fired_this_iteration = false;
     /// Monotone stamp taken on each transition into kActive (FIFO ties).
     uint64_t ready_order = 0;
-    uint64_t firings = 0;
   };
 
   // ---- Policy hooks ----

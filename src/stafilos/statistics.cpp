@@ -1,27 +1,6 @@
 #include "stafilos/statistics.h"
 
 namespace cwf {
-namespace {
-
-/// Update an EWMA rate estimate given `n` events at `now`.
-void UpdateRate(double* rate, Timestamp* last, size_t n, Timestamp now,
-                double alpha) {
-  if (last->micros() == 0) {
-    *last = now;
-    return;
-  }
-  const Duration gap = now - *last;
-  if (gap <= 0) {
-    // Same instant: rates spike; fold in with a small nominal gap.
-    return;
-  }
-  const double instant =
-      static_cast<double>(n) / (static_cast<double>(gap) / 1e6);
-  *rate = *rate == 0 ? instant : alpha * instant + (1 - alpha) * *rate;
-  *last = now;
-}
-
-}  // namespace
 
 void ActorStatistics::Initialize(const Workflow& workflow) {
   workflow_ = &workflow;
@@ -33,34 +12,12 @@ void ActorStatistics::Initialize(const Workflow& workflow) {
 }
 
 void ActorStatistics::OnFiring(const Actor* actor, Duration cost,
-                               size_t consumed, size_t produced,
-                               Timestamp now) {
+                               size_t consumed, size_t produced) {
   ActorStats& s = stats_[actor];
   ++s.invocations;
   s.total_cost += cost;
-  s.ewma_cost = s.invocations == 1
-                    ? static_cast<double>(cost)
-                    : alpha_ * static_cast<double>(cost) +
-                          (1 - alpha_) * s.ewma_cost;
   s.events_consumed += consumed;
   s.events_produced += produced;
-  if (produced > 0) {
-    UpdateRate(&s.output_rate, &s.last_output, produced, now, alpha_);
-  }
-}
-
-void ActorStatistics::OnEventsArrived(const Actor* actor, size_t n,
-                                      Timestamp now) {
-  ActorStats& s = stats_[actor];
-  s.events_arrived += n;
-  UpdateRate(&s.input_rate, &s.last_arrival, n, now, alpha_);
-}
-
-void ActorStatistics::OnQueueDepth(const Actor* actor, uint64_t high_water) {
-  ActorStats& s = stats_[actor];
-  if (high_water > s.queue_high_water) {
-    s.queue_high_water = high_water;
-  }
 }
 
 const ActorStats& ActorStatistics::Get(const Actor* actor) const {

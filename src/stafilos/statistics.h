@@ -6,6 +6,11 @@
 // dynamically calculated during runtime and are updated with each actor's
 // invocation."
 //
+// Only what a policy reads is kept here: invocations, cost and the events
+// consumed and produced, from which cost per invocation, cost per event and
+// selectivity follow. Arrival counts, queue depths and cost distributions
+// are measured once, as cwf_actor_* metrics (src/obs/telemetry.h).
+//
 // It additionally derives the *global* (downstream-aggregated) selectivity
 // and cost of Sharaf et al. used by the Rate-Based scheduler: for actor A
 // with local selectivity s_A and per-event cost c_A,
@@ -27,26 +32,10 @@ namespace cwf {
 struct ActorStats {
   uint64_t invocations = 0;
   Duration total_cost = 0;
-  /// Exponentially smoothed cost per invocation (µs).
-  double ewma_cost = 0;
 
   /// Events consumed / produced by firings (for selectivity).
   uint64_t events_consumed = 0;
   uint64_t events_produced = 0;
-
-  /// Events that arrived at the actor's queues (for input rate).
-  uint64_t events_arrived = 0;
-
-  /// Highest queued-unit depth (pending events + ready windows) observed on
-  /// any of the actor's input receivers — the runtime counterpart of the
-  /// capacity planner's per-channel bound.
-  uint64_t queue_high_water = 0;
-
-  /// Exponentially smoothed arrival/output rates (events per second).
-  double input_rate = 0;
-  double output_rate = 0;
-  Timestamp last_arrival{0};
-  Timestamp last_output{0};
 
   /// \brief Mean cost per invocation in microseconds.
   double AvgCost() const {
@@ -84,23 +73,12 @@ struct ActorStats {
 /// with metrics collection off.
 class ActorStatistics {
  public:
-  /// \brief EWMA smoothing factor for costs and rates.
-  explicit ActorStatistics(double alpha = 0.2) : alpha_(alpha) {}
-
   /// \brief Register all actors of a workflow (resets prior data).
   void Initialize(const Workflow& workflow);
 
   /// \brief Record a completed firing (`cost` in engine time).
   void OnFiring(const Actor* actor, Duration cost, size_t consumed,
-                size_t produced, Timestamp now);
-
-  /// \brief Record `n` events arriving at `actor`'s input queues.
-  void OnEventsArrived(const Actor* actor, size_t n, Timestamp now);
-
-  /// \brief Fold a receiver high-water-mark observation into the actor's
-  /// queue_high_water (monotone max). The SCWF director reports the max
-  /// over the actor's input receivers after each dispatch.
-  void OnQueueDepth(const Actor* actor, uint64_t high_water);
+                size_t produced);
 
   /// \brief Stats of one actor (zeroed entry if unknown).
   const ActorStats& Get(const Actor* actor) const;
@@ -127,7 +105,6 @@ class ActorStatistics {
   Global ComputeGlobal(const Actor* actor,
                        std::map<const Actor*, int>* visiting);
 
-  double alpha_;
   const Workflow* workflow_ = nullptr;
   std::map<const Actor*, ActorStats> stats_;
   std::map<const Actor*, Global> global_;

@@ -29,7 +29,9 @@ class TMWindowedReceiver : public WindowedReceiver {
         callback_(std::move(callback)) {}
 
   /// \brief Director-side: deposit a scheduler-dequeued window into the
-  /// buffer read by the actor's next get().
+  /// ready queue read by the actor's next get(). OnWindowProduced routes
+  /// every produced window to the scheduler, so this is the only way a
+  /// window reaches ready_.
   ///
   /// Only windows this receiver itself produced (routed out through the
   /// ready callback) may come back: more deliveries than productions means
@@ -43,22 +45,9 @@ class TMWindowedReceiver : public WindowedReceiver {
                        << delivered_ << " delivered, " << produced_
                        << " produced)");
     ++delivered_;
-    buffer_.push_back(std::move(w));
+    ready_.push_back(std::move(w));
     RecordDepth();
   }
-
-  bool HasWindow() const override { return !buffer_.empty(); }
-
-  std::optional<Window> Get() override {
-    if (buffer_.empty()) {
-      return std::nullopt;
-    }
-    Window w = std::move(buffer_.front());
-    buffer_.pop_front();
-    return w;
-  }
-
-  size_t ReadyWindowCount() const override { return buffer_.size(); }
 
  protected:
   void OnWindowProduced(Window w) override {
@@ -68,7 +57,6 @@ class TMWindowedReceiver : public WindowedReceiver {
 
  private:
   ReadyCallback callback_;
-  std::deque<Window> buffer_;
   uint64_t produced_ = 0;
   uint64_t delivered_ = 0;
 };

@@ -85,7 +85,7 @@ struct WindowSpec {
   /// \brief Derived consumption mode, for introspection.
   ConsumptionMode consumption_mode() const;
 
-  /// \brief True for the SingleEvent spec (receivers take a fast path).
+  /// \brief True for the SingleEvent spec: every event is its own window.
   bool IsTrivial() const;
 
   /// \brief Reject non-positive sizes/steps and unit mismatches.

@@ -77,7 +77,7 @@ class WindowedReceiver : public Receiver {
  protected:
   /// \brief Route a freshly produced window; the default stores it on the
   /// local output queue for the next Get(). The TM variant overrides this to
-  /// enqueue at the scheduler instead.
+  /// enqueue at the scheduler instead and fills the queue on delivery.
   virtual void OnWindowProduced(Window w) { ready_.push_back(std::move(w)); }
 
   WindowOperator op_;

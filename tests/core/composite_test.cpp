@@ -66,6 +66,25 @@ TEST(CompositeTest, OutputsStampedAsCompositeFiring) {
   EXPECT_EQ(got[0].wave.depth(), 1u);
 }
 
+TEST(CompositeTest, ReinitializeReusesBoundaryChannel) {
+  Rig rig;
+  InputPort* inner_in = rig.comp->BoundInnerInput(rig.comp->GetInputPort("in"));
+  ASSERT_NE(inner_in, nullptr);
+  SCWFDirector d(std::make_unique<FIFOScheduler>());
+  ASSERT_TRUE(d.Initialize(&rig.wf, &rig.clock, &rig.cost_model).ok());
+  ASSERT_EQ(inner_in->ChannelCount(), 1u);
+  // An event left in the boundary receiver by one run ...
+  ASSERT_TRUE(inner_in->receiver(0)->Put(testutil::Ev(Token(1), 1)).ok());
+  ASSERT_TRUE(inner_in->HasWindow());
+  for (int run = 0; run < 2; ++run) {
+    ASSERT_TRUE(d.Initialize(&rig.wf, &rig.clock, &rig.cost_model).ok());
+    // ... is gone after re-initialization: the boundary receiver is
+    // replaced in its channel, not appended next to the stale one.
+    EXPECT_EQ(inner_in->ChannelCount(), 1u);
+    EXPECT_FALSE(inner_in->HasWindow());
+  }
+}
+
 TEST(CompositeTest, PrefireTrueOnAnyReadyInput) {
   CompositeActor comp("c", std::make_unique<DDFDirector>());
   auto* a = comp.inner()->AddActor<MapActor>(
@@ -78,8 +97,7 @@ TEST(CompositeTest, PrefireTrueOnAnyReadyInput) {
   VirtualClock clock;
   ctx.clock = &clock;
   ASSERT_TRUE(comp.Initialize(&ctx).ok());
-  in1->SetReceiver(in1->ChannelCount(),
-                   std::make_unique<QueueReceiver>(in1));
+  in1->SetReceiver(in1->ChannelCount(), testutil::FifoReceiver(in1));
   // No input anywhere: not ready.
   EXPECT_FALSE(comp.Prefire().value());
   ASSERT_TRUE(in1->receiver(in1->ChannelCount() - 1)

@@ -43,8 +43,8 @@ TEST(InputPortTest, ReceiverChannels) {
   ProbeActor a("A");
   EXPECT_EQ(a.in->ChannelCount(), 0u);
   EXPECT_EQ(a.in->receiver(0), nullptr);
-  Receiver* r0 = a.in->SetReceiver(0, std::make_unique<QueueReceiver>(a.in));
-  Receiver* r2 = a.in->SetReceiver(2, std::make_unique<QueueReceiver>(a.in));
+  Receiver* r0 = a.in->SetReceiver(0, testutil::FifoReceiver(a.in));
+  Receiver* r2 = a.in->SetReceiver(2, testutil::FifoReceiver(a.in));
   EXPECT_EQ(a.in->ChannelCount(), 3u);
   EXPECT_EQ(a.in->receiver(0), r0);
   EXPECT_EQ(a.in->receiver(1), nullptr);
@@ -53,8 +53,8 @@ TEST(InputPortTest, ReceiverChannels) {
 
 TEST(InputPortTest, GetScansChannelsInOrder) {
   ProbeActor a("A");
-  a.in->SetReceiver(0, std::make_unique<QueueReceiver>(a.in));
-  a.in->SetReceiver(1, std::make_unique<QueueReceiver>(a.in));
+  a.in->SetReceiver(0, testutil::FifoReceiver(a.in));
+  a.in->SetReceiver(1, testutil::FifoReceiver(a.in));
   ASSERT_TRUE(a.in->receiver(1)->Put(Ev(Token(2), 10)).ok());
   ASSERT_TRUE(a.in->receiver(0)->Put(Ev(Token(1), 20)).ok());
   EXPECT_TRUE(a.in->HasWindow());
@@ -68,7 +68,7 @@ TEST(InputPortTest, GetScansChannelsInOrder) {
 
 TEST(InputPortTest, GetUpdatesFiringContext) {
   ProbeActor a("A");
-  a.in->SetReceiver(0, std::make_unique<QueueReceiver>(a.in));
+  a.in->SetReceiver(0, testutil::FifoReceiver(a.in));
   CWEvent e = Ev(Token(5), 123, /*root=*/9, /*seq=*/77);
   ASSERT_TRUE(a.in->receiver(0)->Put(e).ok());
   a.BeginFiring();
@@ -98,8 +98,8 @@ TEST(ActorTest, DefaultPrefireRequiresAllConnectedPorts) {
   ProbeActor a("A");
   // No connected ports: prefire is vacuously true.
   EXPECT_TRUE(a.Prefire().value());
-  a.in->SetReceiver(0, std::make_unique<QueueReceiver>(a.in));
-  a.in2->SetReceiver(0, std::make_unique<QueueReceiver>(a.in2));
+  a.in->SetReceiver(0, testutil::FifoReceiver(a.in));
+  a.in2->SetReceiver(0, testutil::FifoReceiver(a.in2));
   EXPECT_FALSE(a.Prefire().value());
   ASSERT_TRUE(a.in->receiver(0)->Put(Ev(Token(1), 1)).ok());
   EXPECT_FALSE(a.Prefire().value());  // in2 still empty
@@ -110,7 +110,7 @@ TEST(ActorTest, DefaultPrefireRequiresAllConnectedPorts) {
 TEST(ActorTest, IsSourceTracksConnectedInputs) {
   ProbeActor a("A");
   EXPECT_TRUE(a.IsSource());
-  a.in->SetReceiver(0, std::make_unique<QueueReceiver>(a.in));
+  a.in->SetReceiver(0, testutil::FifoReceiver(a.in));
   EXPECT_FALSE(a.IsSource());
 }
 
@@ -135,7 +135,7 @@ TEST(ActorDeathTest, SendOnForeignPortAborts) {
 TEST(ActorTest, BeginFiringClearsState) {
   ProbeActor a("A");
   a.Send(a.out, Token(1));
-  a.in->SetReceiver(0, std::make_unique<QueueReceiver>(a.in));
+  a.in->SetReceiver(0, testutil::FifoReceiver(a.in));
   ASSERT_TRUE(a.in->receiver(0)->Put(Ev(Token(9), 5)).ok());
   a.in->Get();
   EXPECT_TRUE(a.firing_context().valid);
@@ -146,8 +146,8 @@ TEST(ActorTest, BeginFiringClearsState) {
 
 TEST(OutputPortTest, BroadcastReachesAllRemoteReceivers) {
   ProbeActor a("A"), b("B"), c("C");
-  b.in->SetReceiver(0, std::make_unique<QueueReceiver>(b.in));
-  c.in->SetReceiver(0, std::make_unique<QueueReceiver>(c.in));
+  b.in->SetReceiver(0, testutil::FifoReceiver(b.in));
+  c.in->SetReceiver(0, testutil::FifoReceiver(c.in));
   a.out->AddRemoteReceiver(b.in->receiver(0));
   a.out->AddRemoteReceiver(c.in->receiver(0));
   ASSERT_TRUE(a.out->Broadcast(Ev(Token(3), 1)).ok());
@@ -157,7 +157,7 @@ TEST(OutputPortTest, BroadcastReachesAllRemoteReceivers) {
 
 TEST(LibraryActorTest, MapActorTransforms) {
   MapActor map("double", [](const Token& t) { return Token(t.AsInt() * 2); });
-  map.in()->SetReceiver(0, std::make_unique<QueueReceiver>(map.in()));
+  map.in()->SetReceiver(0, testutil::FifoReceiver(map.in()));
   ExecutionContext ctx;
   VirtualClock clock;
   ctx.clock = &clock;
@@ -172,7 +172,7 @@ TEST(LibraryActorTest, MapActorTransforms) {
 
 TEST(LibraryActorTest, FilterActorDropsNonMatching) {
   FilterActor f("evens", [](const Token& t) { return t.AsInt() % 2 == 0; });
-  f.in()->SetReceiver(0, std::make_unique<QueueReceiver>(f.in()));
+  f.in()->SetReceiver(0, testutil::FifoReceiver(f.in()));
   ExecutionContext ctx;
   VirtualClock clock;
   ctx.clock = &clock;
@@ -193,7 +193,7 @@ TEST(LibraryActorTest, FlatMapFansOut) {
   FlatMapActor fm("explode", [](const Token& t) {
     return std::vector<Token>{t, t, t};
   });
-  fm.in()->SetReceiver(0, std::make_unique<QueueReceiver>(fm.in()));
+  fm.in()->SetReceiver(0, testutil::FifoReceiver(fm.in()));
   ExecutionContext ctx;
   VirtualClock clock;
   ctx.clock = &clock;

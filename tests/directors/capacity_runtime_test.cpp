@@ -14,6 +14,7 @@
 #include "directors/pncwf_director.h"
 #include "directors/scwf_director.h"
 #include "lrb/generator.h"
+#include "obs/metrics.h"
 #include "stafilos/edf_scheduler.h"
 #include "stafilos/fifo_scheduler.h"
 #include "stafilos/qbs_scheduler.h"
@@ -217,14 +218,28 @@ TEST(CapacityRuntimeTest, ScwfSurfacesQueueHighWaterInStatistics) {
   auto director = std::make_unique<SCWFDirector>(SchedulerFor(graph));
   VirtualClock clock;
   const CostModel costs;
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  registry.Reset();
+  obs::SetMetricsEnabled(true);
   ASSERT_TRUE(director->Initialize(graph.workflow, &clock, &costs).ok());
   ASSERT_TRUE(director->Run(Timestamp::Seconds(30)).ok());
+  // The cwf_actor_queue_hwm gauge carries the receivers' high-water marks.
+  int64_t max_gauge = 0;
   uint64_t max_high_water = 0;
   for (const auto& actor : graph.workflow->actors()) {
-    max_high_water = std::max(
-        max_high_water, director->stats().Get(actor.get()).queue_high_water);
+    max_gauge = std::max(
+        max_gauge,
+        registry.GetGauge("cwf_actor_queue_hwm", "actor", actor->name())
+            ->Value());
+    for (const auto& port : actor->input_ports()) {
+      for (size_t c = 0; c < port->ChannelCount(); ++c) {
+        max_high_water =
+            std::max(max_high_water, port->receiver(c)->high_water_mark());
+      }
+    }
   }
   EXPECT_GT(max_high_water, 0u);
+  EXPECT_EQ(static_cast<uint64_t>(max_gauge), max_high_water);
   ASSERT_TRUE(director->Wrapup().ok());
 }
 

@@ -67,7 +67,6 @@ TEST(SCWFTest, StatisticsModuleTracksCostsAndSelectivity) {
   EXPECT_EQ(s.events_produced, 20u);
   EXPECT_DOUBLE_EQ(s.Selectivity(), 1.0);
   EXPECT_DOUBLE_EQ(s.AvgCost(), 500.0);
-  EXPECT_GT(s.input_rate, 0.0);
 }
 
 TEST(SCWFTest, ResponseTimeReflectsSchedulerQueueing) {

@@ -3,6 +3,7 @@
 #include "core/clock.h"
 #include "core/receiver.h"
 #include "lrb/metrics.h"
+#include "test_util.h"
 
 namespace cwf::lrb {
 namespace {
@@ -67,7 +68,7 @@ TEST(ResponseTimeSeriesTest, SeriesEdgeCases) {
 TEST(OutputActorTest, RecordsResponsePerEvent) {
   ResponseTimeSeries series;
   OutputActor out("TollNotification", &series);
-  out.in()->SetReceiver(0, std::make_unique<QueueReceiver>(out.in()));
+  out.in()->SetReceiver(0, testutil::FifoReceiver(out.in()));
   ExecutionContext ctx;
   VirtualClock clock;
   ctx.clock = &clock;

@@ -155,13 +155,16 @@ TEST(ExportHttpTest, TracedLRBSegmentServesValidMetrics) {
             std::string::npos);
   EXPECT_NE(exposition.find("cwf_wave_latency_us_count"), std::string::npos);
 
-  // 2. /profile and /top render over the same connection path.
+  EXPECT_NE(
+      exposition.find("cwf_actor_firings_total{actor=\"TollNotification\"}"),
+      std::string::npos);
+
+  // 2. /profile renders over the same connection path; the retired /top
+  // table is gone (cwf_top reads /metrics).
   const std::string profile = Body(Fetch(server.port(), "/profile"));
   EXPECT_NE(profile.find("actor\tphase\tself_us\tsamples\tpct_wall\n"),
             std::string::npos);
-  const std::string top = Body(Fetch(server.port(), "/top"));
-  EXPECT_EQ(top.rfind("# ts_us ", 0), 0u);
-  EXPECT_NE(top.find("TollNotification"), std::string::npos);
+  EXPECT_EQ(Fetch(server.port(), "/top").rfind("HTTP/1.0 404", 0), 0u);
 
   // 3. The trace endpoint serves the wave timeline captured during the run.
   const std::string trace = Body(Fetch(server.port(), "/trace.json"));

@@ -27,8 +27,8 @@ TEST(StatisticsTest, FiringAccumulation) {
   Graph g;
   ActorStatistics stats;
   stats.Initialize(g.wf);
-  stats.OnFiring(g.a, 100, 1, 2, Timestamp::Seconds(1));
-  stats.OnFiring(g.a, 300, 1, 0, Timestamp::Seconds(2));
+  stats.OnFiring(g.a, 100, 1, 2);
+  stats.OnFiring(g.a, 300, 1, 0);
   const ActorStats& s = stats.Get(g.a);
   EXPECT_EQ(s.invocations, 2u);
   EXPECT_EQ(s.total_cost, 400);
@@ -42,33 +42,11 @@ TEST(StatisticsTest, SelectivityReflectsFiltering) {
   Graph g;
   ActorStatistics stats;
   stats.Initialize(g.wf);
-  stats.OnFiring(g.a, 10, 10, 3, Timestamp::Seconds(1));
+  stats.OnFiring(g.a, 10, 10, 3);
   EXPECT_DOUBLE_EQ(stats.Get(g.a).Selectivity(), 0.3);
   // Unknown actor: defaults.
   MapActor other("other", [](const Token& t) { return t; });
   EXPECT_DOUBLE_EQ(stats.Get(&other).Selectivity(), 1.0);
-}
-
-TEST(StatisticsTest, InputRateEwma) {
-  Graph g;
-  ActorStatistics stats;
-  stats.Initialize(g.wf);
-  // 10 events per second for 5 seconds.
-  for (int t = 1; t <= 5; ++t) {
-    stats.OnEventsArrived(g.a, 10, Timestamp::Seconds(t));
-  }
-  EXPECT_NEAR(stats.Get(g.a).input_rate, 10.0, 1.0);
-  EXPECT_EQ(stats.Get(g.a).events_arrived, 50u);
-}
-
-TEST(StatisticsTest, EwmaCostTracksRecentInvocations) {
-  Graph g;
-  ActorStatistics stats(0.5);
-  stats.Initialize(g.wf);
-  stats.OnFiring(g.a, 100, 1, 1, Timestamp::Seconds(1));
-  EXPECT_DOUBLE_EQ(stats.Get(g.a).ewma_cost, 100.0);
-  stats.OnFiring(g.a, 300, 1, 1, Timestamp::Seconds(2));
-  EXPECT_DOUBLE_EQ(stats.Get(g.a).ewma_cost, 200.0);  // 0.5*300 + 0.5*100
 }
 
 TEST(StatisticsTest, GlobalMetricsChain) {
@@ -76,9 +54,9 @@ TEST(StatisticsTest, GlobalMetricsChain) {
   Graph g;
   ActorStatistics stats;
   stats.Initialize(g.wf);
-  stats.OnFiring(g.a, 10, 10, 5, Timestamp::Seconds(1));   // s=0.5 c=1
-  stats.OnFiring(g.b, 20, 10, 10, Timestamp::Seconds(2));  // s=1.0 c=2
-  stats.OnFiring(g.c, 10, 10, 2, Timestamp::Seconds(3));   // s=0.2 c=1
+  stats.OnFiring(g.a, 10, 10, 5);   // s=0.5 c=1
+  stats.OnFiring(g.b, 20, 10, 10);  // s=1.0 c=2
+  stats.OnFiring(g.c, 10, 10, 2);   // s=0.2 c=1
   stats.RecomputeGlobal();
   // c is the output operator: S(c)=1 (delivery is the useful work), C(c)=1;
   // S(b)=1*1=1, C(b)=2+1*1=3; S(a)=0.5*1=0.5, C(a)=1+0.5*3=2.5.
@@ -103,9 +81,9 @@ TEST(StatisticsTest, GlobalMetricsSumOverSharedPaths) {
   ASSERT_TRUE(wf.Connect(a->out(), c->in()).ok());
   ActorStatistics stats;
   stats.Initialize(wf);
-  stats.OnFiring(a, 10, 10, 10, Timestamp::Seconds(1));  // s=1 c=1
-  stats.OnFiring(b, 20, 10, 5, Timestamp::Seconds(2));   // s=.5 c=2
-  stats.OnFiring(c, 30, 10, 10, Timestamp::Seconds(3));  // s=1 c=3
+  stats.OnFiring(a, 10, 10, 10);  // s=1 c=1
+  stats.OnFiring(b, 20, 10, 5);   // s=.5 c=2
+  stats.OnFiring(c, 30, 10, 10);  // s=1 c=3
   stats.RecomputeGlobal();
   // Leaves b and c are output operators (S=1 each); paths add up.
   EXPECT_NEAR(stats.GlobalSelectivity(a), 1.0 * (1.0 + 1.0), 1e-9);
@@ -120,8 +98,8 @@ TEST(StatisticsTest, GlobalMetricsCutCyclesConservatively) {
   ASSERT_TRUE(wf.Connect(b->out(), a->in()).ok());
   ActorStatistics stats;
   stats.Initialize(wf);
-  stats.OnFiring(a, 10, 10, 10, Timestamp::Seconds(1));
-  stats.OnFiring(b, 10, 10, 10, Timestamp::Seconds(2));
+  stats.OnFiring(a, 10, 10, 10);
+  stats.OnFiring(b, 10, 10, 10);
   stats.RecomputeGlobal();  // must terminate
   EXPECT_GT(stats.GlobalCost(a), 0.0);
   EXPECT_GT(stats.RatePriority(a), 0.0);
@@ -133,7 +111,7 @@ TEST(StatisticsTest, SourceDefaultsAreSafe) {
   stats.Initialize(g.wf);
   // An actor that never consumed anything: selectivity 1, per-event cost
   // falls back to per-invocation cost.
-  stats.OnFiring(g.a, 500, 0, 3, Timestamp::Seconds(1));
+  stats.OnFiring(g.a, 500, 0, 3);
   EXPECT_DOUBLE_EQ(stats.Get(g.a).Selectivity(), 1.0);
   EXPECT_DOUBLE_EQ(stats.Get(g.a).AvgCostPerEvent(), 500.0);
   stats.RecomputeGlobal();
@@ -144,7 +122,7 @@ TEST(StatisticsTest, InitializeResets) {
   Graph g;
   ActorStatistics stats;
   stats.Initialize(g.wf);
-  stats.OnFiring(g.a, 100, 1, 1, Timestamp::Seconds(1));
+  stats.OnFiring(g.a, 100, 1, 1);
   stats.Initialize(g.wf);
   EXPECT_EQ(stats.Get(g.a).invocations, 0u);
 }

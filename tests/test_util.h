@@ -10,6 +10,7 @@
 #include "core/event.h"
 #include "core/record.h"
 #include "core/token.h"
+#include "window/windowed_receiver.h"
 
 namespace cwf::testutil {
 
@@ -42,6 +43,12 @@ inline std::vector<int64_t> Ints(const Window& w) {
     out.push_back(e.token.AsInt());
   }
   return out;
+}
+
+/// \brief A plain FIFO receiver for `port`: the SingleEvent spec makes
+/// every event its own window, in arrival order.
+inline std::unique_ptr<Receiver> FifoReceiver(InputPort* port) {
+  return std::make_unique<WindowedReceiver>(port, WindowSpec::SingleEvent());
 }
 
 }  // namespace cwf::testutil

@@ -14,7 +14,7 @@ using testutil::Ev;
 
 TEST(ReceiverCapacityTest, UnboundedByDefault) {
   InputPort port(nullptr, "in", WindowSpec::SingleEvent());
-  QueueReceiver r(&port);
+  WindowedReceiver r(&port, WindowSpec::SingleEvent());
   EXPECT_EQ(r.capacity(), 0u);
   EXPECT_EQ(r.overflow_policy(), OverflowPolicy::kUnbounded);
   EXPECT_FALSE(r.AtCapacity());
@@ -28,7 +28,7 @@ TEST(ReceiverCapacityTest, UnboundedByDefault) {
 
 TEST(ReceiverCapacityTest, AtCapacityTracksQueueDepth) {
   InputPort port(nullptr, "in", WindowSpec::SingleEvent());
-  QueueReceiver r(&port);
+  WindowedReceiver r(&port, WindowSpec::SingleEvent());
   r.SetCapacity(2, OverflowPolicy::kBlock);
   EXPECT_EQ(r.capacity(), 2u);
   EXPECT_EQ(r.overflow_policy(), OverflowPolicy::kBlock);
@@ -43,7 +43,7 @@ TEST(ReceiverCapacityTest, AtCapacityTracksQueueDepth) {
 
 TEST(ReceiverCapacityTest, ZeroCapacityResetsPolicyToUnbounded) {
   InputPort port(nullptr, "in", WindowSpec::SingleEvent());
-  QueueReceiver r(&port);
+  WindowedReceiver r(&port, WindowSpec::SingleEvent());
   r.SetCapacity(4, OverflowPolicy::kBlock);
   r.SetCapacity(0, OverflowPolicy::kBlock);
   EXPECT_EQ(r.capacity(), 0u);
@@ -53,7 +53,7 @@ TEST(ReceiverCapacityTest, ZeroCapacityResetsPolicyToUnbounded) {
 
 TEST(ReceiverCapacityTest, HighWaterMarkIsMonotoneUntilReset) {
   InputPort port(nullptr, "in", WindowSpec::SingleEvent());
-  QueueReceiver r(&port);
+  WindowedReceiver r(&port, WindowSpec::SingleEvent());
   ASSERT_TRUE(r.Put(Ev(Token(1), 1)).ok());
   ASSERT_TRUE(r.Put(Ev(Token(2), 2)).ok());
   ASSERT_TRUE(r.Get().has_value());

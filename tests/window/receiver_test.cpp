@@ -11,19 +11,6 @@ namespace {
 using testutil::Ev;
 using testutil::Ints;
 
-TEST(QueueReceiverTest, FifoSingleEventWindows) {
-  InputPort port(nullptr, "in", WindowSpec::SingleEvent());
-  QueueReceiver r(&port);
-  EXPECT_FALSE(r.HasWindow());
-  ASSERT_TRUE(r.Put(Ev(Token(1), 1)).ok());
-  ASSERT_TRUE(r.Put(Ev(Token(2), 2)).ok());
-  EXPECT_EQ(r.ReadyWindowCount(), 2u);
-  EXPECT_EQ(r.Get()->events[0].token.AsInt(), 1);
-  EXPECT_EQ(r.Get()->events[0].token.AsInt(), 2);
-  EXPECT_FALSE(r.Get().has_value());
-  EXPECT_EQ(r.port(), &port);
-}
-
 TEST(WindowedReceiverTest, ProducesWindowsOnPut) {
   InputPort port(nullptr, "in", WindowSpec::Tuples(2, 1));
   WindowedReceiver r(&port, port.spec());
@@ -38,9 +25,16 @@ TEST(WindowedReceiverTest, ProducesWindowsOnPut) {
 TEST(WindowedReceiverTest, TrivialSpecBehavesLikeQueue) {
   InputPort port(nullptr, "in", WindowSpec::SingleEvent());
   WindowedReceiver r(&port, port.spec());
+  EXPECT_FALSE(r.HasWindow());
   ASSERT_TRUE(r.Put(Ev(Token(7), 1)).ok());
+  ASSERT_TRUE(r.Put(Ev(Token(8), 2)).ok());
   ASSERT_TRUE(r.HasWindow());
-  EXPECT_EQ(r.Get()->size(), 1u);
+  EXPECT_EQ(r.ReadyWindowCount(), 2u);
+  // FIFO, one event per window.
+  EXPECT_EQ(Ints(*r.Get()), (std::vector<int64_t>{7}));
+  EXPECT_EQ(Ints(*r.Get()), (std::vector<int64_t>{8}));
+  EXPECT_FALSE(r.Get().has_value());
+  EXPECT_EQ(r.port(), &port);
 }
 
 TEST(WindowedReceiverTest, TimeoutSurfacesThroughReceiver) {

@@ -56,6 +56,13 @@ OBS_TMP="$(mktemp -d)"
   --scrape-out "${OBS_TMP}/metrics.txt" \
   --profile-out "${OBS_TMP}/profile.txt" > /dev/null
 grep -q '^# TYPE cwf_actor_firings_total counter$' "${OBS_TMP}/metrics.txt"
+# Families cwf_top pivots into its table.
+grep -q '^# TYPE cwf_actor_cost_us histogram$' "${OBS_TMP}/metrics.txt"
+grep -q '^# TYPE cwf_actor_queue_hwm gauge$' "${OBS_TMP}/metrics.txt"
+grep -q '^# TYPE cwf_backpressure_deferrals_total counter$' \
+  "${OBS_TMP}/metrics.txt"
+grep -q '^# TYPE cwf_actor_events_emitted_total counter$' \
+  "${OBS_TMP}/metrics.txt"
 grep -q '"schema_version"' "${OBS_TMP}/BENCH_lrb_QBS.json"
 grep -q '"host_phase_us"' "${OBS_TMP}/BENCH_lrb_QBS.json"
 grep -q '"traceEvents"' "${OBS_TMP}/trace.json"

@@ -1,12 +1,14 @@
 // cwf_top: live per-actor statistics viewer for a running workflow.
 //
-// Polls the /top TSV endpoint of an obs::MetricsServer (see
-// src/obs/export_server.h) and renders a refreshing table with the
-// cumulative counters plus poll-to-poll rates: firings/s, mean firing cost,
-// selectivity (events emitted per event consumed), queue high-water mark,
-// and backpressure blocked time. Rates use the server's own monotonic
-// time base (the "# ts_us" first line), so client scheduling jitter does
-// not skew them.
+// Polls the Prometheus /metrics endpoint of an obs::MetricsServer (see
+// src/obs/export_server.h) and pivots the cwf_actor_* samples into a
+// refreshing table: cumulative firings plus poll-to-poll firings/s, mean
+// firing cost, selectivity (events emitted per event consumed), queue
+// high-water mark of the current run, backpressure blocked time and
+// deferrals. When the serving process runs a net::IngestServer, the
+// cwf_ingest_* samples add an INGEST section with per-channel tuples/s.
+// Rates use this client's steady clock between polls. The tool reads only
+// the exposition text, so it does not link the engine.
 //
 // Usage:
 //   cwf_top --port N [--host 127.0.0.1] [--interval-ms 1000] [--once]
@@ -24,6 +26,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -53,46 +56,25 @@ int Usage(const char* argv0) {
   return 2;
 }
 
-/// One parsed /top row (cumulative counters since the workflow started).
-struct ActorRow {
-  std::string actor;
-  uint64_t firings = 0;
-  double cost_mean_us = 0;
-  uint64_t consumed = 0;
-  uint64_t emitted = 0;
-  uint64_t arrived = 0;
-  int64_t queue_hwm = 0;
-  uint64_t blocked_us = 0;
-  uint64_t decisions = 0;
-  uint64_t deferrals = 0;
-};
-
-/// The '# ingest' summary comment row emitted when the serving process
-/// runs a net::IngestServer (src/obs/export_server.cpp).
-struct IngestSummary {
-  bool present = false;
-  uint64_t live = 0;
-  uint64_t accepted = 0;
-  uint64_t rejected = 0;
-  uint64_t paused = 0;
-  uint64_t pauses = 0;
-  uint64_t bytes = 0;
-  uint64_t parse_errors = 0;
-  uint64_t schema_rejects = 0;
-  uint64_t frame_errors = 0;
-};
-
-/// One '# ingest_channel <name> tuples=N' row.
-struct IngestChannelRow {
-  std::string name;
-  uint64_t tuples = 0;
-};
-
+/// One /metrics poll. Samples with at most one label are kept, keyed by
+/// metric name and then label value ("" when unlabelled); multi-label
+/// samples (histogram buckets) are not read by this tool and skipped.
 struct Sample {
-  int64_t ts_us = 0;
-  std::vector<ActorRow> rows;
-  IngestSummary ingest;
-  std::vector<IngestChannelRow> ingest_channels;
+  int64_t ts_us = 0;  ///< client steady clock at the fetch (rate base)
+  std::map<std::string, std::map<std::string, double>> values;
+
+  /// Every sample of `name` by label value (empty when absent).
+  const std::map<std::string, double>& Family(const std::string& name) const {
+    static const std::map<std::string, double> kEmpty;
+    auto it = values.find(name);
+    return it == values.end() ? kEmpty : it->second;
+  }
+
+  double Get(const std::string& name, const std::string& label = "") const {
+    const std::map<std::string, double>& family = Family(name);
+    auto it = family.find(label);
+    return it == family.end() ? 0.0 : it->second;
+  }
 };
 
 /// Issues one HTTP/1.0 GET and returns the response body, or false on any
@@ -176,88 +158,68 @@ std::vector<std::string> SplitTabs(const std::string& line) {
   }
 }
 
-bool ParseTop(const std::string& body, Sample* sample, std::string* error) {
+/// Parses one label value after its opening quote, undoing the exposition
+/// format's escapes (\\, \" and \n). Returns the index past the closing
+/// quote, or npos when the value is unterminated.
+size_t ParseLabelValue(const std::string& line, size_t pos, std::string* out) {
+  for (; pos < line.size(); ++pos) {
+    const char c = line[pos];
+    if (c == '"') {
+      return pos + 1;
+    }
+    if (c == '\\' && pos + 1 < line.size()) {
+      const char next = line[++pos];
+      out->push_back(next == 'n' ? '\n' : next);
+    } else {
+      out->push_back(c);
+    }
+  }
+  return std::string::npos;
+}
+
+/// Parses a Prometheus text exposition (format 0.0.4) body.
+bool ParseMetrics(const std::string& body, Sample* sample,
+                  std::string* error) {
   std::istringstream in(body);
   std::string line;
-  // "# ts_us <µs>"
-  if (!std::getline(in, line) || line.rfind("# ts_us ", 0) != 0) {
-    *error = "missing '# ts_us' time-base line";
-    return false;
-  }
-  sample->ts_us = std::strtoll(line.c_str() + 8, nullptr, 10);
-  // Header.
-  if (!std::getline(in, line) || line.rfind("actor\t", 0) != 0) {
-    *error = "missing TSV header";
-    return false;
-  }
   while (std::getline(in, line)) {
-    if (line.empty()) {
+    if (line.empty() || line[0] == '#') {
       continue;
     }
-    if (line[0] == '#') {
-      // Comment rows: '# ingest key=value ...' and '# ingest_channel NAME
-      // tuples=N' feed the ingest section; unknown comments are skipped so
-      // the server can grow new annotations without breaking this client.
-      if (line.rfind("# ingest_channel ", 0) == 0) {
-        std::istringstream fields(line.substr(std::strlen("# ingest_channel ")));
-        IngestChannelRow row;
-        std::string kv;
-        if (fields >> row.name >> kv && kv.rfind("tuples=", 0) == 0) {
-          row.tuples = std::strtoull(kv.c_str() + 7, nullptr, 10);
-          sample->ingest_channels.push_back(std::move(row));
-        }
-      } else if (line.rfind("# ingest ", 0) == 0) {
-        sample->ingest.present = true;
-        std::istringstream fields(line.substr(std::strlen("# ingest ")));
-        std::string kv;
-        while (fields >> kv) {
-          const size_t eq = kv.find('=');
-          if (eq == std::string::npos) {
-            continue;
-          }
-          const std::string key = kv.substr(0, eq);
-          const uint64_t value =
-              std::strtoull(kv.c_str() + eq + 1, nullptr, 10);
-          if (key == "live") {
-            sample->ingest.live = value;
-          } else if (key == "accepted") {
-            sample->ingest.accepted = value;
-          } else if (key == "rejected") {
-            sample->ingest.rejected = value;
-          } else if (key == "paused") {
-            sample->ingest.paused = value;
-          } else if (key == "pauses") {
-            sample->ingest.pauses = value;
-          } else if (key == "bytes") {
-            sample->ingest.bytes = value;
-          } else if (key == "parse_errors") {
-            sample->ingest.parse_errors = value;
-          } else if (key == "schema_rejects") {
-            sample->ingest.schema_rejects = value;
-          } else if (key == "frame_errors") {
-            sample->ingest.frame_errors = value;
-          }
-        }
-      }
-      continue;
-    }
-    const std::vector<std::string> f = SplitTabs(line);
-    if (f.size() != 10) {
-      *error = "bad row (want 10 fields): " + line;
+    const size_t name_end = line.find_first_of("{ ");
+    if (name_end == std::string::npos) {
+      *error = "bad sample: " + line;
       return false;
     }
-    ActorRow row;
-    row.actor = f[0];
-    row.firings = std::strtoull(f[1].c_str(), nullptr, 10);
-    row.cost_mean_us = std::strtod(f[2].c_str(), nullptr);
-    row.consumed = std::strtoull(f[3].c_str(), nullptr, 10);
-    row.emitted = std::strtoull(f[4].c_str(), nullptr, 10);
-    row.arrived = std::strtoull(f[5].c_str(), nullptr, 10);
-    row.queue_hwm = std::strtoll(f[6].c_str(), nullptr, 10);
-    row.blocked_us = std::strtoull(f[7].c_str(), nullptr, 10);
-    row.decisions = std::strtoull(f[8].c_str(), nullptr, 10);
-    row.deferrals = std::strtoull(f[9].c_str(), nullptr, 10);
-    sample->rows.push_back(row);
+    const std::string name = line.substr(0, name_end);
+    size_t pos = name_end;
+    std::vector<std::string> label_values;
+    if (line[pos] == '{') {
+      ++pos;
+      while (pos < line.size() && line[pos] != '}') {
+        const size_t eq = line.find("=\"", pos);
+        if (eq == std::string::npos) {
+          *error = "bad label set: " + line;
+          return false;
+        }
+        std::string value;
+        pos = ParseLabelValue(line, eq + 2, &value);
+        if (pos == std::string::npos) {
+          *error = "unterminated label value: " + line;
+          return false;
+        }
+        label_values.push_back(std::move(value));
+        if (pos < line.size() && line[pos] == ',') {
+          ++pos;
+        }
+      }
+      ++pos;  // '}'
+    }
+    if (label_values.size() > 1) {
+      continue;
+    }
+    sample->values[name][label_values.empty() ? "" : label_values[0]] =
+        std::strtod(line.c_str() + std::min(pos, line.size()), nullptr);
   }
   return true;
 }
@@ -265,12 +227,12 @@ bool ParseTop(const std::string& body, Sample* sample, std::string* error) {
 /// Renders one refresh of the table. `prev` may be empty (first poll);
 /// rates then read as 0.
 std::string RenderTable(const Sample& sample, const Sample& prev) {
-  std::map<std::string, const ActorRow*> prev_rows;
-  for (const ActorRow& row : prev.rows) {
-    prev_rows[row.actor] = &row;
-  }
   const double dt_s =
       prev.ts_us > 0 ? (sample.ts_us - prev.ts_us) / 1e6 : 0.0;
+  auto rate = [&](const std::string& name, const std::string& label) {
+    return dt_s > 0 ? (sample.Get(name, label) - prev.Get(name, label)) / dt_s
+                    : 0.0;
+  };
   std::ostringstream out;
   char line[256];
   std::snprintf(line, sizeof(line),
@@ -278,58 +240,63 @@ std::string RenderTable(const Sample& sample, const Sample& prev) {
                 "FIRINGS", "FIRINGS/S", "COST_US", "SEL", "QUEUE_HWM",
                 "BLOCKED_MS", "DEFERRALS");
   out << line;
-  for (const ActorRow& row : sample.rows) {
-    double rate = 0;
-    if (dt_s > 0) {
-      auto it = prev_rows.find(row.actor);
-      const uint64_t before = it != prev_rows.end() ? it->second->firings : 0;
-      rate = (row.firings - before) / dt_s;
-    }
+  for (const auto& [actor, firings] :
+       sample.Family("cwf_actor_firings_total")) {
+    const double cost_count = sample.Get("cwf_actor_cost_us_count", actor);
+    const double cost_mean =
+        cost_count > 0 ? sample.Get("cwf_actor_cost_us_sum", actor) / cost_count
+                       : 0.0;
+    const double consumed =
+        sample.Get("cwf_actor_events_consumed_total", actor);
     const double selectivity =
-        row.consumed > 0
-            ? static_cast<double>(row.emitted) / static_cast<double>(row.consumed)
+        consumed > 0
+            ? sample.Get("cwf_actor_events_emitted_total", actor) / consumed
             : 0.0;
+    // Backpressure blocked time is tracked per channel; attribute every
+    // "Actor.port" channel of this actor.
+    double blocked_us = 0;
+    const std::string prefix = actor + ".";
+    for (const auto& [port, us] :
+         sample.Family("cwf_receiver_blocked_us_total")) {
+      if (port.rfind(prefix, 0) == 0) {
+        blocked_us += us;
+      }
+    }
     std::snprintf(line, sizeof(line),
-                  "%-26s %10llu %10.1f %10.1f %6.2f %9lld %11.1f %10llu\n",
-                  row.actor.c_str(),
-                  static_cast<unsigned long long>(row.firings), rate,
-                  row.cost_mean_us, selectivity,
-                  static_cast<long long>(row.queue_hwm),
-                  row.blocked_us / 1000.0,
-                  static_cast<unsigned long long>(row.deferrals));
+                  "%-26s %10.0f %10.1f %10.1f %6.2f %9.0f %11.1f %10.0f\n",
+                  actor.c_str(), firings,
+                  rate("cwf_actor_firings_total", actor), cost_mean,
+                  selectivity, sample.Get("cwf_actor_queue_hwm", actor),
+                  blocked_us / 1000.0,
+                  sample.Get("cwf_backpressure_deferrals_total", actor));
     out << line;
   }
-  if (sample.ingest.present) {
-    const IngestSummary& ing = sample.ingest;
-    std::snprintf(line, sizeof(line),
-                  "\nINGEST  conns=%llu (paused %llu, accepted %llu, "
-                  "rejected %llu)  pauses=%llu  errors=%llu\n",
-                  static_cast<unsigned long long>(ing.live),
-                  static_cast<unsigned long long>(ing.paused),
-                  static_cast<unsigned long long>(ing.accepted),
-                  static_cast<unsigned long long>(ing.rejected),
-                  static_cast<unsigned long long>(ing.pauses),
-                  static_cast<unsigned long long>(
-                      ing.parse_errors + ing.schema_rejects +
-                      ing.frame_errors));
+  // The per-channel tuple counter only exists once an IngestServer resolved
+  // its instruments, so a workflow without network ingest shows no section.
+  std::map<std::string, double> channels =
+      sample.Family("cwf_ingest_tuples_total");
+  channels.erase("");
+  if (!channels.empty()) {
+    std::snprintf(
+        line, sizeof(line),
+        "\nINGEST  conns=%.0f (paused %.0f, accepted %.0f, rejected %.0f)  "
+        "pauses=%.0f  errors=%.0f\n",
+        sample.Get("cwf_ingest_connections"),
+        sample.Get("cwf_ingest_backpressure_paused"),
+        sample.Get("cwf_ingest_accepted_total"),
+        sample.Get("cwf_ingest_rejected_total"),
+        sample.Get("cwf_ingest_backpressure_pauses_total"),
+        sample.Get("cwf_ingest_parse_errors_total") +
+            sample.Get("cwf_ingest_schema_rejects_total") +
+            sample.Get("cwf_ingest_frame_errors_total"));
     out << line;
-    std::map<std::string, uint64_t> prev_tuples;
-    for (const IngestChannelRow& row : prev.ingest_channels) {
-      prev_tuples[row.name] = row.tuples;
-    }
     std::snprintf(line, sizeof(line), "%-26s %14s %14s\n", "CHANNEL",
                   "TUPLES", "TUPLES/S");
     out << line;
-    for (const IngestChannelRow& row : sample.ingest_channels) {
-      double rate = 0;
-      if (dt_s > 0) {
-        auto it = prev_tuples.find(row.name);
-        const uint64_t before = it != prev_tuples.end() ? it->second : 0;
-        rate = (row.tuples - before) / dt_s;
-      }
-      std::snprintf(line, sizeof(line), "%-26s %14llu %14.1f\n",
-                    row.name.c_str(),
-                    static_cast<unsigned long long>(row.tuples), rate);
+    for (const auto& [channel, tuples] : channels) {
+      std::snprintf(line, sizeof(line), "%-26s %14.0f %14.1f\n",
+                    channel.c_str(), tuples,
+                    rate("cwf_ingest_tuples_total", channel));
       out << line;
     }
   }
@@ -455,13 +422,17 @@ int main(int argc, char** argv) {
   for (;;) {
     std::string body;
     std::string error;
-    if (!HttpGet(options.host, options.port, "/top", &body, &error)) {
+    if (!HttpGet(options.host, options.port, "/metrics", &body, &error)) {
       std::fprintf(stderr, "cwf_top: fetch failed: %s\n", error.c_str());
       return 1;
     }
     Sample sample;
-    if (!ParseTop(body, &sample, &error)) {
-      std::fprintf(stderr, "cwf_top: bad /top payload: %s\n", error.c_str());
+    sample.ts_us = std::chrono::duration_cast<std::chrono::microseconds>(
+                       std::chrono::steady_clock::now().time_since_epoch())
+                       .count();
+    if (!ParseMetrics(body, &sample, &error)) {
+      std::fprintf(stderr, "cwf_top: bad /metrics payload: %s\n",
+                   error.c_str());
       return 1;
     }
     std::string table = RenderTable(sample, prev);
