@@ -4,9 +4,11 @@
 
 #include <benchmark/benchmark.h>
 
+#include "core/port.h"
 #include "core/schema.h"
 #include "stream/push_channel.h"
 #include "window/window_operator.h"
+#include "window/windowed_receiver.h"
 
 namespace cwf {
 namespace {
@@ -87,6 +89,35 @@ void BM_GroupByWindowPut(benchmark::State& state) {
   state.SetLabel(std::to_string(keys) + " groups");
 }
 BENCHMARK(BM_GroupByWindowPut)->Arg(10)->Arg(1000)->Arg(100000);
+
+void BM_WindowedReceiverPut(benchmark::State& state) {
+  // The receiver's Put adds RecordDepth() (QueueDepth() per deposit) on top
+  // of the bare operator, and must stay flat in the group count. Every group
+  // is primed with a pending event before timing starts; produced windows
+  // are taken off the ready queue so memory stays bounded.
+  const int64_t keys = state.range(0);
+  const WindowSpec spec =
+      WindowSpec::Tuples(4, 1).GroupBy({"k"}).DeleteUsedEvents(true);
+  InputPort port(nullptr, "in", spec);
+  WindowedReceiver r(&port, spec);
+  uint64_t seq = 0;
+  for (int64_t k = 0; k < keys; ++k) {
+    ++seq;
+    CWF_CHECK(r.Put(KeyedEvent(k, static_cast<int64_t>(seq), seq)).ok());
+  }
+  for (auto _ : state) {
+    ++seq;
+    CWF_CHECK(r.Put(KeyedEvent(static_cast<int64_t>(seq) % keys,
+                               static_cast<int64_t>(seq), seq))
+                  .ok());
+    while (r.HasWindow()) {
+      benchmark::DoNotOptimize(r.Get());
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.SetLabel(std::to_string(keys) + " groups");
+}
+BENCHMARK(BM_WindowedReceiverPut)->Arg(10)->Arg(1000)->Arg(100000);
 
 void BM_TimeWindowDeadlineIndex(benchmark::State& state) {
   // NextDeadline() must stay O(1) regardless of group count.

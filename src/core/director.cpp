@@ -199,8 +199,7 @@ Status Director::FlushActorOutputs(Actor* actor, size_t* emitted) {
     }
     CWF_RETURN_NOT_OK(po.port->Broadcast(event));
     OnEventEmitted(actor, po.port, event);
-    telemetry_.RecordEmit(event, po.port->remote_receivers().size(),
-                          clock_->Now());
+    telemetry_.RecordEmit(event, po.port->remote_receivers().size());
   }
   return Status::OK();
 }

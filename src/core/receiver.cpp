@@ -56,10 +56,9 @@ void Receiver::NoteGet() {
     return;
   }
   probe_->gets->Add(1);
-  // Deliberately no depth refresh here: QueueDepth() walks the window
-  // groups (O(#groups), thousands for keyed LRB windows) and is already
-  // paid on every deposit. The depth gauge is deposit-sampled; a get only
-  // shrinks the queue, so the high-water mark cannot be missed.
+  // No depth refresh here: the depth gauge is deposit-sampled (Put,
+  // timeout/flush window production, scheduled delivery). A get only
+  // shrinks the queue, so skipping it cannot miss the high-water mark.
 }
 
 void Receiver::NoteBlockedMicros(int64_t micros) {

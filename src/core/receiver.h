@@ -61,6 +61,8 @@ class Receiver {
   virtual size_t ReadyWindowCount() const = 0;
 
   /// \brief Events buffered but not yet part of a produced window.
+  /// Called on every deposit (via QueueDepth()), so implementations keep it
+  /// O(1): windowed receivers return the operator's maintained counter.
   virtual size_t PendingEventCount() const { return 0; }
 
   /// \brief Remove and return events that expired out of the window scope.

@@ -116,12 +116,12 @@ class WorkflowTelemetry {
 
   /// \brief One event was stamped and broadcast to `fanout` receivers
   /// (Director::FlushActorOutputs). Births waves in the tracer.
-  void RecordEmit(const CWEvent& event, size_t fanout, Timestamp now) {
+  void RecordEmit(const CWEvent& event, size_t fanout) {
     if (events_emitted_ != nullptr && MetricsEnabled()) {
       events_emitted_->Add(1);
     }
     if (TracingEnabled()) {
-      GlobalTracer().OnEventEmitted(event.wave, event.timestamp, now, fanout);
+      GlobalTracer().OnEventEmitted(event.wave, event.timestamp, fanout);
     }
   }
 

@@ -13,7 +13,8 @@ namespace cwf::obs {
 namespace {
 
 /// Live-wave table cap: waves whose events expire out of window scope are
-/// never consumed, so the oldest entry is evicted once the table fills.
+/// never consumed, so the earliest-born entry is evicted once the table
+/// fills.
 constexpr size_t kMaxLiveWaves = 8192;
 
 }  // namespace
@@ -92,7 +93,7 @@ void WaveTracer::ResetTopology(bool clear_buffer) {
 }
 
 void WaveTracer::OnEventEmitted(const WaveTag& wave, Timestamp event_ts,
-                                Timestamp now, size_t fanout) {
+                                size_t fanout) {
   const uint64_t root = wave.root();
   bool born = false;
   {
@@ -100,16 +101,15 @@ void WaveTracer::OnEventEmitted(const WaveTag& wave, Timestamp event_ts,
     auto [it, inserted] = live_.try_emplace(root);
     if (inserted) {
       if (live_.size() > kMaxLiveWaves) {
-        // Evict the entry with the oldest birth (expired, never closing).
+        // Evict the earliest-born other wave (expired, never closing).
+        // Root ids are issued in emission order, so that is the smallest
+        // key other than the new one: found in O(1) on every birth once
+        // the table is full.
         auto oldest = live_.begin();
-        for (auto walk = live_.begin(); walk != live_.end(); ++walk) {
-          if (walk->second.birth < oldest->second.birth) {
-            oldest = walk;
-          }
+        if (oldest == it) {
+          ++oldest;
         }
-        if (oldest != it) {
-          live_.erase(oldest);
-        }
+        live_.erase(oldest);
       }
       it->second.birth = event_ts;
       it->second.last_done = event_ts;

@@ -60,8 +60,10 @@ class WindowOperator {
   /// \brief Remove and return events that slid out of every future window.
   std::vector<CWEvent> DrainExpired();
 
-  /// \brief Events currently buffered across all groups.
-  size_t PendingEventCount() const;
+  /// \brief Events currently buffered across all groups (tuple/time group
+  /// queues plus wave buffers). A counter maintained wherever an event
+  /// enters or leaves a buffer, so it costs O(1) whatever the group count.
+  size_t PendingEventCount() const { return pending_; }
 
   /// \brief Number of distinct group-by partitions seen so far.
   size_t GroupCount() const { return groups_.size(); }
@@ -79,10 +81,11 @@ class WindowOperator {
     Timestamp window_start;  // inclusive; window covers [start, start+size)
     // -- wave windows --
     // Events buffered per (sub-)wave until the wave is complete; completed
-    // waves queue up in completion order.
+    // waves queue up in completion order. Empty maps and vectors allocate
+    // nothing, so a tuple or time group pays only for `queue`.
     std::map<WaveTag, std::vector<CWEvent>> wave_buffers;
     std::map<WaveTag, uint32_t> wave_last_serial;
-    std::deque<WaveTag> completed_waves;
+    std::vector<WaveTag> completed_waves;
     /// Greatest wave already consumed into a produced window; arrivals at
     /// or behind it (wave-tag monotonicity invariant) abort via CWF_DCHECK.
     WaveTag consumed_wave_frontier;
@@ -113,6 +116,8 @@ class WindowOperator {
   /// Pending time-window deadlines, earliest first.
   std::multimap<Timestamp, GroupKey> deadline_index_;
   std::vector<CWEvent> expired_;
+  /// Events in every group's queue and wave buffers: PendingEventCount().
+  size_t pending_ = 0;
   uint64_t windows_produced_ = 0;
 };
 

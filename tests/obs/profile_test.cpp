@@ -189,10 +189,10 @@ TEST(CriticalPathTest, GoldenThreeActorChain) {
   // child tag BEFORE the firing is recorded (FlushActorOutputs runs inside
   // the firing), keeping the wave in flight until C consumes the last one.
   const WaveTag wave = WaveTag::Root(1);
-  tracer.OnEventEmitted(wave, Timestamp(0), Timestamp(0), 1);
-  tracer.OnEventEmitted(wave.Child(1), Timestamp(200), Timestamp(200), 1);
+  tracer.OnEventEmitted(wave, Timestamp(0), 1);
+  tracer.OnEventEmitted(wave.Child(1), Timestamp(200), 1);
   tracer.OnFiring(a, &wave, Timestamp(50), Timestamp(200), 1, 1);
-  tracer.OnEventEmitted(wave.Child(2), Timestamp(600), Timestamp(600), 1);
+  tracer.OnEventEmitted(wave.Child(2), Timestamp(600), 1);
   tracer.OnFiring(b, &wave, Timestamp(300), Timestamp(600), 1, 1);
   tracer.OnFiring(c, &wave, Timestamp(800), Timestamp(1800), 1, 0);
   ASSERT_EQ(1u, tracer.waves_closed());
@@ -228,8 +228,8 @@ TEST(CriticalPathTest, WavesWithDistinctTerminalsFormSeparateGroups) {
   const uint32_t b = tracer.RegisterTrack("B");
   const WaveTag w1 = WaveTag::Root(1);
   const WaveTag w2 = WaveTag::Root(2);
-  tracer.OnEventEmitted(w1, Timestamp(0), Timestamp(0), 1);
-  tracer.OnEventEmitted(w2, Timestamp(0), Timestamp(0), 1);
+  tracer.OnEventEmitted(w1, Timestamp(0), 1);
+  tracer.OnEventEmitted(w2, Timestamp(0), 1);
   tracer.OnFiring(a, &w1, Timestamp(10), Timestamp(500), 1, 0);
   tracer.OnFiring(b, &w2, Timestamp(10), Timestamp(100), 1, 0);
   const CriticalPathReport report = ComputeCriticalPaths(tracer, 3);
@@ -240,6 +240,28 @@ TEST(CriticalPathTest, WavesWithDistinctTerminalsFormSeparateGroups) {
   EXPECT_EQ("B", report.groups[1].terminal_actor);
 }
 
+TEST(WaveTracerTest, FullLiveTableEvictsEarliestWave) {
+  // Waves that never close (their events expire out of window scope) must
+  // not grow the live-wave table past its cap: the earliest-born wave goes,
+  // the newest stays tracked and can still close.
+  WaveTracer tracer;
+  const uint32_t a = tracer.RegisterTrack("A");
+  constexpr uint64_t kWaves = 10000;
+  for (uint64_t root = 1; root <= kWaves; ++root) {
+    tracer.OnEventEmitted(WaveTag::Root(root),
+                          Timestamp(static_cast<int64_t>(root)), 1);
+  }
+  EXPECT_EQ(8192u, tracer.live_waves());
+  const WaveTag first = WaveTag::Root(1);
+  tracer.OnFiring(a, &first, Timestamp(kWaves + 1), Timestamp(kWaves + 2), 1,
+                  0);
+  EXPECT_EQ(0u, tracer.waves_closed());
+  const WaveTag newest = WaveTag::Root(kWaves);
+  tracer.OnFiring(a, &newest, Timestamp(kWaves + 1), Timestamp(kWaves + 2), 1,
+                  0);
+  EXPECT_EQ(1u, tracer.waves_closed());
+}
+
 TEST(CriticalPathTest, WraparoundTruncatedWaveIsDroppedAndCounted) {
   // Ring of 8: the filler wave's spans evict wave 1's birth before wave 1
   // closes, so wave 1 must be dropped from attribution (a partial chain
@@ -248,8 +270,8 @@ TEST(CriticalPathTest, WraparoundTruncatedWaveIsDroppedAndCounted) {
   const uint32_t a = tracer.RegisterTrack("A");
   const WaveTag w1 = WaveTag::Root(1);
   const WaveTag filler = WaveTag::Root(2);
-  tracer.OnEventEmitted(w1, Timestamp(0), Timestamp(0), 1);
-  tracer.OnEventEmitted(filler, Timestamp(1), Timestamp(1), 1);
+  tracer.OnEventEmitted(w1, Timestamp(0), 1);
+  tracer.OnEventEmitted(filler, Timestamp(1), 1);
   for (int i = 0; i < 4; ++i) {  // 4 firings x >=2 events >= capacity
     tracer.OnFiring(a, &filler, Timestamp(10 + 10 * i), Timestamp(15 + 10 * i),
                     1, 1);

@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <random>
+#include <string>
+#include <tuple>
 
+#include "core/port.h"
 #include "test_util.h"
 #include "window/window_operator.h"
+#include "window/windowed_receiver.h"
 
 namespace cwf {
 namespace {
@@ -171,6 +177,201 @@ TEST_P(GroupByProperty, EquivalentToPerKeyOperators) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, GroupByProperty,
                          ::testing::Values(1, 2, 3, 5, 8, 13));
+
+// Counter conservation: PendingEventCount() is a maintained counter, not a
+// recount, so check it against the events the test itself put in and saw
+// leave. Every event put is pending, expired (drained after each call) or —
+// under DeleteUsedEvents — consumed by a produced window.
+enum class SpecKind { kTuple, kTupleGapped, kTime, kTimeSliding, kWave };
+
+WindowSpec MakeSpec(SpecKind kind, bool delete_used) {
+  WindowSpec spec;
+  switch (kind) {
+    case SpecKind::kTuple:
+      spec = WindowSpec::Tuples(3, 2);
+      break;
+    case SpecKind::kTupleGapped:
+      spec = WindowSpec::Tuples(2, 5);
+      break;
+    case SpecKind::kTime:
+      spec = WindowSpec::Time(Seconds(10), Seconds(10))
+                 .FormationTimeout(Seconds(2));
+      break;
+    case SpecKind::kTimeSliding:
+      spec = WindowSpec::Time(Seconds(10), Seconds(4))
+                 .FormationTimeout(Seconds(1));
+      break;
+    case SpecKind::kWave:
+      spec = WindowSpec::Waves(2, 1);
+      break;
+  }
+  return spec.GroupBy({"k"}).DeleteUsedEvents(delete_used);
+}
+
+// A seeded multi-key stream: keyed records with mostly increasing
+// timestamps and occasional stragglers. Wave specs get whole (sub-)waves
+// of 1-3 events per key, delivered in shuffled order within the wave.
+class StreamGen {
+ public:
+  StreamGen(SpecKind kind, uint32_t seed) : kind_(kind), rng_(seed) {}
+
+  // Appends the next batch of events (one, or one wave's worth) to `out`.
+  void Next(std::vector<CWEvent>* out) {
+    const int64_t key = Uniform(0, 6);
+    now_ += Seconds(Uniform(0, 3));
+    int64_t ts = now_;
+    if (Uniform(0, 9) == 0) {
+      ts = std::max<int64_t>(0, now_ - Seconds(Uniform(1, 20)));
+    }
+    if (kind_ != SpecKind::kWave) {
+      out->push_back(Ev(key, ts, WaveTag::Root(++root_), true));
+      return;
+    }
+    const WaveTag root = WaveTag::Root(++root_);
+    const int64_t m = Uniform(0, 3);
+    if (m == 0) {
+      out->push_back(Ev(key, ts, root, true));
+      return;
+    }
+    std::vector<CWEvent> wave;
+    for (int64_t s = 1; s <= m; ++s) {
+      wave.push_back(
+          Ev(key, ts, root.Child(static_cast<uint32_t>(s)), s == m));
+    }
+    std::shuffle(wave.begin(), wave.end(), rng_);
+    out->insert(out->end(), wave.begin(), wave.end());
+  }
+
+  int64_t Uniform(int64_t lo, int64_t hi) {
+    return std::uniform_int_distribution<int64_t>(lo, hi)(rng_);
+  }
+
+  int64_t now() const { return now_; }
+
+ private:
+  CWEvent Ev(int64_t key, int64_t ts, WaveTag wave, bool last) {
+    CWEvent e = testutil::Ev(
+        testutil::Rec({{"k", Value(key)}, {"v", Value(++value_)}}), ts);
+    e.wave = std::move(wave);
+    e.last_in_wave = last;
+    return e;
+  }
+
+  SpecKind kind_;
+  std::mt19937 rng_;
+  int64_t now_ = Seconds(1);
+  uint64_t root_ = 0;
+  int64_t value_ = 0;
+};
+
+using ConservationParams = std::tuple<SpecKind, bool, uint32_t>;
+
+class CounterConservation
+    : public ::testing::TestWithParam<ConservationParams> {};
+
+TEST_P(CounterConservation, OperatorCountMatchesPutsMinusDepartures) {
+  const auto [kind, delete_used, seed] = GetParam();
+  WindowOperator op(MakeSpec(kind, delete_used));
+  StreamGen gen(kind, seed);
+  size_t puts = 0;
+  size_t drained = 0;
+  size_t consumed = 0;
+  std::vector<Window> out;
+  auto check = [&](const char* after) {
+    drained += op.DrainExpired().size();
+    for (const Window& w : out) {
+      consumed += w.size();
+    }
+    out.clear();
+    const size_t expected = puts - drained - (delete_used ? consumed : 0);
+    ASSERT_EQ(op.PendingEventCount(), expected) << "after " << after;
+  };
+  std::vector<CWEvent> batch;
+  for (int step = 0; step < 400; ++step) {
+    batch.clear();
+    gen.Next(&batch);
+    for (const CWEvent& e : batch) {
+      ASSERT_TRUE(op.Put(e, &out).ok());
+      ++puts;
+      check("Put");
+    }
+    if (gen.Uniform(0, 4) == 0) {
+      op.OnTimeout(Timestamp(gen.now() + Seconds(gen.Uniform(0, 5))), &out);
+      check("OnTimeout");
+    }
+  }
+  EXPECT_GT(op.GroupCount(), 1u);
+  EXPECT_GT(op.windows_produced(), 0u);
+  op.Flush(&out);
+  EXPECT_EQ(op.PendingEventCount(), 0u);
+}
+
+// Receiver level: the high-water mark is sampled from QueueDepth() after
+// every deposit, so it must equal the largest depth observable from outside
+// (gets only shrink the queue).
+TEST_P(CounterConservation, ReceiverHighWaterMarkIsLargestDepth) {
+  const auto [kind, delete_used, seed] = GetParam();
+  const WindowSpec spec = MakeSpec(kind, delete_used);
+  InputPort port(nullptr, "in", spec);
+  WindowedReceiver r(&port, spec);
+  StreamGen gen(kind, seed);
+  size_t max_depth = 0;
+  auto observe = [&] { max_depth = std::max(max_depth, r.QueueDepth()); };
+  std::vector<CWEvent> batch;
+  for (int step = 0; step < 400; ++step) {
+    batch.clear();
+    gen.Next(&batch);
+    for (const CWEvent& e : batch) {
+      ASSERT_TRUE(r.Put(e).ok());
+      observe();
+    }
+    if (gen.Uniform(0, 4) == 0) {
+      r.OnTimeout(Timestamp(gen.now() + Seconds(gen.Uniform(0, 5))));
+      observe();
+    }
+    for (int64_t gets = gen.Uniform(0, 2); gets > 0 && r.HasWindow();
+         --gets) {
+      r.Get();
+      observe();
+    }
+    r.DrainExpired();
+  }
+  r.Flush();
+  observe();
+  EXPECT_GT(max_depth, 0u);
+  EXPECT_EQ(r.high_water_mark(), max_depth);
+  EXPECT_EQ(r.PendingEventCount(), 0u);
+}
+
+std::string SpecKindName(SpecKind kind) {
+  switch (kind) {
+    case SpecKind::kTuple:
+      return "Tuple";
+    case SpecKind::kTupleGapped:
+      return "TupleGapped";
+    case SpecKind::kTime:
+      return "Time";
+    case SpecKind::kTimeSliding:
+      return "TimeSliding";
+    case SpecKind::kWave:
+      return "Wave";
+  }
+  return "Unknown";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, CounterConservation,
+    ::testing::Combine(::testing::Values(SpecKind::kTuple,
+                                         SpecKind::kTupleGapped,
+                                         SpecKind::kTime,
+                                         SpecKind::kTimeSliding,
+                                         SpecKind::kWave),
+                       ::testing::Bool(), ::testing::Values(42u, 7u)),
+    [](const ::testing::TestParamInfo<ConservationParams>& info) {
+      return SpecKindName(std::get<0>(info.param)) +
+             (std::get<1>(info.param) ? "_DeleteUsed" : "_Keep") + "_Seed" +
+             std::to_string(std::get<2>(info.param));
+    });
 
 }  // namespace
 }  // namespace cwf

@@ -69,7 +69,7 @@ grep -q '"traceEvents"' "${OBS_TMP}/trace.json"
 grep -q '^# coverage_pct ' "${OBS_TMP}/profile.txt"
 
 echo "==> [perf-smoke] bench_compare vs committed baseline (warn-only)"
-./build/tools/cwf_lrb_serve --duration-s 120 \
+./build/tools/cwf_lrb_serve --duration-s 600 \
   --bench "${OBS_TMP}/BENCH_lrb_QBS.json" > /dev/null
 ./build/tools/bench_compare --warn-only \
   bench/baselines/BENCH_lrb_QBS.json "${OBS_TMP}/BENCH_lrb_QBS.json"
