@@ -4,6 +4,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "core/port.h"
 #include "core/schema.h"
 #include "stream/push_channel.h"
@@ -70,6 +72,25 @@ void BM_TimeWindowPut(benchmark::State& state) {
 }
 BENCHMARK(BM_TimeWindowPut);
 
+// A position report keyed like LRB's Avgsv window, by (car, xway, dir, seg)
+// derived from `key`: small, correlated ints, so a weak hash combine (a sum
+// or xor of the fields) folds many groups into few buckets.
+CWEvent LrbKeyedEvent(int64_t key, int64_t ts_us, uint64_t seq) {
+  auto rec = std::make_shared<Record>();
+  rec->Set("car", Value(key));
+  rec->Set("xway", Value(key % 4));
+  rec->Set("dir", Value(key % 2));
+  rec->Set("seg", Value((key / 2) % 100));
+  rec->Set("speed", Value(static_cast<int64_t>(seq % 100)));
+  CWEvent e;
+  e.token = Token(RecordPtr(std::move(rec)));
+  e.timestamp = Timestamp(ts_us);
+  e.wave = WaveTag::Root(seq);
+  e.last_in_wave = true;
+  e.seq = seq;
+  return e;
+}
+
 void BM_GroupByWindowPut(benchmark::State& state) {
   const int64_t keys = state.range(0);
   WindowOperator op(
@@ -89,6 +110,29 @@ void BM_GroupByWindowPut(benchmark::State& state) {
   state.SetLabel(std::to_string(keys) + " groups");
 }
 BENCHMARK(BM_GroupByWindowPut)->Arg(10)->Arg(1000)->Arg(100000);
+
+void BM_GroupByWindowPutLrbKey(benchmark::State& state) {
+  const int64_t keys = state.range(0);
+  WindowOperator op(WindowSpec::Tuples(4, 1)
+                        .GroupBy({"car", "xway", "dir", "seg"})
+                        .DeleteUsedEvents(true));
+  std::vector<Window> out;
+  uint64_t seq = 0;
+  for (auto _ : state) {
+    out.clear();
+    ++seq;
+    CWF_CHECK(op.Put(LrbKeyedEvent(static_cast<int64_t>(seq) % keys,
+                                   static_cast<int64_t>(seq), seq),
+                     &out)
+                  .ok());
+    benchmark::DoNotOptimize(out);
+  }
+  CWF_CHECK(op.GroupCount() ==
+            static_cast<size_t>(std::min<int64_t>(keys, seq)));
+  state.SetItemsProcessed(state.iterations());
+  state.SetLabel(std::to_string(keys) + " groups");
+}
+BENCHMARK(BM_GroupByWindowPutLrbKey)->Arg(10)->Arg(1000)->Arg(100000);
 
 void BM_WindowedReceiverPut(benchmark::State& state) {
   // The receiver's Put adds RecordDepth() (QueueDepth() per deposit) on top

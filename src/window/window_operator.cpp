@@ -9,11 +9,18 @@ WindowOperator::WindowOperator(WindowSpec spec) : spec_(std::move(spec)) {
   CWF_CHECK_MSG(st.ok(), "invalid WindowSpec: " << st.ToString());
 }
 
-Status WindowOperator::ExtractKey(const CWEvent& event, GroupKey* key,
-                                  Token* key_token) const {
+size_t GroupKeyHash::operator()(const GroupKey& key) const {
+  uint64_t h = key.size();
+  for (const Value& v : key) {
+    h = (h ^ v.Hash()) * 0xBF58476D1CE4E5B9ULL;
+    h ^= h >> 31;
+  }
+  return static_cast<size_t>(h);
+}
+
+Status WindowOperator::ExtractKey(const CWEvent& event, GroupKey* key) const {
   key->clear();
   if (spec_.group_by.empty()) {
-    *key_token = Token();
     return Status::OK();
   }
   if (!event.token.is_record()) {
@@ -22,17 +29,14 @@ Status WindowOperator::ExtractKey(const CWEvent& event, GroupKey* key,
         event.token.ToString());
   }
   const RecordPtr& rec = event.token.AsRecord();
-  auto key_rec = std::make_shared<Record>();
   for (const std::string& field : spec_.group_by) {
     auto value = rec->Get(field);
     if (!value.ok()) {
       return Status::InvalidArgument("group-by field '" + field +
                                      "' missing from " + rec->ToString());
     }
-    key->push_back(value.value());
-    key_rec->Set(field, std::move(value).value());
+    key->push_back(std::move(value).value());
   }
-  *key_token = Token(RecordPtr(std::move(key_rec)));
   return Status::OK();
 }
 
@@ -44,22 +48,27 @@ Window WindowOperator::MakeWindow(const GroupState& g, size_t count) const {
 }
 
 Status WindowOperator::Put(const CWEvent& event, std::vector<Window>* out) {
-  GroupKey key;
-  Token key_token;
-  CWF_RETURN_NOT_OK(ExtractKey(event, &key, &key_token));
-  GroupState& g = groups_[key];
-  g.group_key_token = key_token;
+  CWF_RETURN_NOT_OK(ExtractKey(event, &scratch_key_));
+  auto [it, created] = groups_.try_emplace(scratch_key_);
+  GroupState* g = &it->second;
+  if (created && !spec_.group_by.empty()) {
+    auto key_rec = std::make_shared<Record>();
+    for (size_t i = 0; i < scratch_key_.size(); ++i) {
+      key_rec->Set(spec_.group_by[i], scratch_key_[i]);
+    }
+    g->group_key_token = Token(RecordPtr(std::move(key_rec)));
+  }
 
   switch (spec_.unit) {
     case WindowUnit::kTuples:
-      PutTuple(&g, event, out);
+      PutTuple(g, event, out);
       break;
     case WindowUnit::kTime:
-      PutTime(&g, event, out);
-      UpdateDeadline(key, &g);
+      PutTime(g, event, out);
+      UpdateDeadline(g);
       break;
     case WindowUnit::kWaves:
-      PutWave(&g, event, out);
+      PutWave(g, event, out);
       break;
   }
   return Status::OK();
@@ -155,7 +164,7 @@ void WindowOperator::CloseTimeWindow(GroupState* g, std::vector<Window>* out) {
   }
 }
 
-void WindowOperator::UpdateDeadline(const GroupKey& key, GroupState* g) {
+void WindowOperator::UpdateDeadline(GroupState* g) {
   Timestamp deadline = Timestamp::Max();
   if (spec_.unit == WindowUnit::kTime && spec_.formation_timeout >= 0 &&
       g->start_set && !g->queue.empty()) {
@@ -165,16 +174,10 @@ void WindowOperator::UpdateDeadline(const GroupKey& key, GroupState* g) {
     return;
   }
   if (g->registered_deadline != Timestamp::Max()) {
-    auto range = deadline_index_.equal_range(g->registered_deadline);
-    for (auto it = range.first; it != range.second; ++it) {
-      if (it->second == key) {
-        deadline_index_.erase(it);
-        break;
-      }
-    }
+    deadline_index_.erase(g->deadline_entry);
   }
   if (deadline != Timestamp::Max()) {
-    deadline_index_.emplace(deadline, key);
+    g->deadline_entry = deadline_index_.emplace(deadline, g);
   }
   g->registered_deadline = deadline;
 }
@@ -254,22 +257,30 @@ void WindowOperator::OnTimeout(Timestamp now, std::vector<Window>* out) {
     return;
   }
   while (!deadline_index_.empty() && deadline_index_.begin()->first <= now) {
-    const GroupKey key = deadline_index_.begin()->second;
-    GroupState& g = groups_[key];
-    while (g.start_set && !g.queue.empty() &&
-           g.window_start + spec_.size + spec_.formation_timeout <= now) {
+    GroupState* g = deadline_index_.begin()->second;
+    while (g->start_set && !g->queue.empty() &&
+           g->window_start + spec_.size + spec_.formation_timeout <= now) {
       const size_t before = out->size();
-      CloseTimeWindow(&g, out);
+      CloseTimeWindow(g, out);
       for (size_t i = before; i < out->size(); ++i) {
         (*out)[i].closed_by_timeout = true;
       }
     }
-    UpdateDeadline(key, &g);
+    UpdateDeadline(g);
   }
 }
 
 void WindowOperator::Flush(std::vector<Window>* out) {
+  // The hash map has no order; flush is rare, so sort for ascending keys.
+  std::vector<std::pair<const GroupKey*, GroupState*>> ordered;
+  ordered.reserve(groups_.size());
   for (auto& [key, g] : groups_) {
+    ordered.emplace_back(&key, &g);
+  }
+  std::sort(ordered.begin(), ordered.end(),
+            [](const auto& a, const auto& b) { return *a.first < *b.first; });
+  for (const auto& entry : ordered) {
+    GroupState& g = *entry.second;
     if (spec_.unit == WindowUnit::kWaves) {
       // Emit any complete-but-unwindowed waves as one final bundle.
       Window w;
@@ -296,7 +307,7 @@ void WindowOperator::Flush(std::vector<Window>* out) {
       pending_ -= g.queue.size();
       g.queue.clear();
     }
-    UpdateDeadline(key, &g);
+    UpdateDeadline(&g);
   }
 }
 

@@ -12,6 +12,14 @@
 // of an event belonging to a later window or by a registered timeout
 // (`NextDeadline` / `OnTimeout`), exactly as the TM windowed receiver does in
 // the paper.
+//
+// Groups live in a hash map keyed by GroupKey (GroupKeyHash). A put to an
+// existing group extracts its key into a reused buffer and makes one hash
+// probe. Each group's key record (`Window::group_key`) is built once, when
+// the group is created, and every window of the group shares that instance.
+// Two orders hold whatever the hash: Flush emits groups in ascending
+// GroupKey order, and groups whose time windows share a deadline are closed
+// by OnTimeout in the order they registered it.
 
 #ifndef CONFLUENCE_WINDOW_WINDOW_OPERATOR_H_
 #define CONFLUENCE_WINDOW_WINDOW_OPERATOR_H_
@@ -20,6 +28,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "core/event.h"
@@ -29,6 +38,15 @@ namespace cwf {
 
 /// \brief Group-by key: the tuple of Values extracted from a record.
 using GroupKey = std::vector<Value>;
+
+/// \brief Hash of a GroupKey: each component's Value::Hash() folded in with a
+/// multiply/xor-shift mix, so keys of several small ints (LRB's car, xway,
+/// dir, seg) spread over the buckets instead of colliding on their sum.
+struct GroupKeyHash {
+  // Not noexcept on purpose: libstdc++ then stores each node's hash, so a
+  // bucket walk compares stored hashes instead of rehashing every key.
+  size_t operator()(const GroupKey& key) const;
+};
 
 /// \brief Stateful window formation over a (possibly partitioned) queue.
 ///
@@ -90,13 +108,17 @@ class WindowOperator {
     /// or behind it (wave-tag monotonicity invariant) abort via CWF_DCHECK.
     WaveTag consumed_wave_frontier;
     bool has_consumed_frontier = false;
+    /// The group's key record, built once when the group is created (nil
+    /// without a group-by).
     Token group_key_token;
-    /// Deadline currently registered in deadline_index_ (Max = none).
+    /// Deadline currently registered in deadline_index_ (Max = none), and
+    /// its entry there while registered.
     Timestamp registered_deadline = Timestamp::Max();
+    std::multimap<Timestamp, GroupState*>::iterator deadline_entry;
   };
 
-  Status ExtractKey(const CWEvent& event, GroupKey* key,
-                    Token* key_token) const;
+  /// Fill `key` (cleared, capacity kept) with the group-by values in order.
+  Status ExtractKey(const CWEvent& event, GroupKey* key) const;
 
   void PutTuple(GroupState* g, const CWEvent& event, std::vector<Window>* out);
   void PutTime(GroupState* g, const CWEvent& event, std::vector<Window>* out);
@@ -107,14 +129,19 @@ class WindowOperator {
 
   /// Re-register `g`'s formation deadline in deadline_index_ after any
   /// mutation (keeps NextDeadline()/OnTimeout() off the O(groups) path).
-  void UpdateDeadline(const GroupKey& key, GroupState* g);
+  void UpdateDeadline(GroupState* g);
 
   Window MakeWindow(const GroupState& g, size_t count) const;
 
   WindowSpec spec_;
-  std::map<GroupKey, GroupState> groups_;
-  /// Pending time-window deadlines, earliest first.
-  std::multimap<Timestamp, GroupKey> deadline_index_;
+  /// Node-based, so GroupState addresses stay stable across rehashing;
+  /// groups are never erased.
+  std::unordered_map<GroupKey, GroupState, GroupKeyHash> groups_;
+  /// Put's key buffer, reused so a put allocates no key.
+  GroupKey scratch_key_;
+  /// Pending time-window deadlines, earliest first; equal deadlines keep
+  /// insertion (registration) order.
+  std::multimap<Timestamp, GroupState*> deadline_index_;
   std::vector<CWEvent> expired_;
   /// Events in every group's queue and wave buffers: PendingEventCount().
   size_t pending_ = 0;
