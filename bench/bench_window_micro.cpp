@@ -1,10 +1,21 @@
 // Window-operator micro-benchmarks: put() throughput across window kinds
 // and group-by fan-out (the paper's discussion flags window-based actors as
 // the performance-critical component).
+//
+// This binary replaces the global operator new/delete with counting ones,
+// so the window benches also report heap use: `allocs_per_put` counts the
+// allocations made inside the measured operator/receiver calls (building
+// the input event is excluded), and `live_bytes_per_group` is the heap the
+// operator holds at the end of the run (groups plus their buffered events,
+// in malloc_usable_size bytes) divided by its group count.
 
 #include <benchmark/benchmark.h>
+#include <malloc.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdlib>
+#include <new>
 
 #include "core/port.h"
 #include "core/schema.h"
@@ -12,8 +23,53 @@
 #include "window/window_operator.h"
 #include "window/windowed_receiver.h"
 
+namespace {
+std::atomic<uint64_t> heap_allocs{0};
+std::atomic<int64_t> heap_live_bytes{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  void* p = std::malloc(n == 0 ? 1 : n);
+  if (p == nullptr) {
+    throw std::bad_alloc();
+  }
+  heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  heap_live_bytes.fetch_add(static_cast<int64_t>(malloc_usable_size(p)),
+                            std::memory_order_relaxed);
+  return p;
+}
+
+void operator delete(void* p) noexcept {
+  if (p != nullptr) {
+    heap_live_bytes.fetch_sub(static_cast<int64_t>(malloc_usable_size(p)),
+                              std::memory_order_relaxed);
+    std::free(p);
+  }
+}
+
+void operator delete(void* p, std::size_t) noexcept { operator delete(p); }
+
 namespace cwf {
 namespace {
+
+uint64_t HeapAllocs() { return heap_allocs.load(std::memory_order_relaxed); }
+
+int64_t HeapLiveBytes() {
+  return heap_live_bytes.load(std::memory_order_relaxed);
+}
+
+// Sets the heap counters; `live_before` is HeapLiveBytes() taken before the
+// operator was built, and `groups` 0 skips live_bytes_per_group.
+void ReportHeap(benchmark::State& state, uint64_t put_allocs,
+                int64_t live_before, size_t groups) {
+  state.counters["allocs_per_put"] =
+      static_cast<double>(put_allocs) / static_cast<double>(state.iterations());
+  if (groups > 0) {
+    state.counters["live_bytes_per_group"] =
+        static_cast<double>(HeapLiveBytes() - live_before) /
+        static_cast<double>(groups);
+  }
+}
 
 CWEvent IntEvent(int64_t v, int64_t ts_us, uint64_t seq) {
   CWEvent e;
@@ -39,35 +95,55 @@ CWEvent KeyedEvent(int64_t key, int64_t ts_us, uint64_t seq) {
 }
 
 void BM_TupleWindowPut(benchmark::State& state) {
-  WindowOperator op(
-      WindowSpec::Tuples(state.range(0), 1));
+  // Sliding, step 1: every put past the first `size` emits one window and
+  // pops one event. Beyond copying the window, the cost must not grow with
+  // the window size (the group FIFO's push/pop are amortized O(1)).
+  const uint64_t size = static_cast<uint64_t>(state.range(0));
+  WindowOperator op(WindowSpec::Tuples(state.range(0), 1));
   std::vector<Window> out;
   uint64_t seq = 0;
+  uint64_t put_allocs = 0;
   for (auto _ : state) {
     out.clear();
     ++seq;
-    CWF_CHECK(op.Put(IntEvent(1, static_cast<int64_t>(seq), seq), &out).ok());
+    const CWEvent event = IntEvent(1, static_cast<int64_t>(seq), seq);
+    const uint64_t allocs = HeapAllocs();
+    CWF_CHECK(op.Put(event, &out).ok());
+    put_allocs += HeapAllocs() - allocs;
+    CWF_CHECK(seq < size ||
+              (out.size() == 1 && out[0].size() == size &&
+               out[0].front().seq == seq - size + 1));
     benchmark::DoNotOptimize(out);
     if (seq % 4096 == 0) {
       op.DrainExpired();
     }
   }
+  ReportHeap(state, put_allocs, 0, 0);
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_TupleWindowPut)->Arg(2)->Arg(4)->Arg(32);
+BENCHMARK(BM_TupleWindowPut)->Arg(2)->Arg(4)->Arg(32)->Arg(1024);
 
 void BM_TimeWindowPut(benchmark::State& state) {
   WindowOperator op(WindowSpec::Time(Seconds(60), Seconds(60))
                         .DeleteUsedEvents(true));
   std::vector<Window> out;
   uint64_t seq = 0;
+  uint64_t put_allocs = 0;
   for (auto _ : state) {
     out.clear();
     ++seq;
-    CWF_CHECK(op.Put(IntEvent(1, static_cast<int64_t>(seq) * 1000, seq), &out)
-                  .ok());
+    const CWEvent event = IntEvent(1, static_cast<int64_t>(seq) * 1000, seq);
+    const uint64_t allocs = HeapAllocs();
+    CWF_CHECK(op.Put(event, &out).ok());
+    put_allocs += HeapAllocs() - allocs;
+    // Events are 1 ms apart, so a window holds the 60,000 events before
+    // the one that closes it (59,999 for the first, which starts at 0).
+    CWF_CHECK(out.empty() ||
+              (out.size() == 1 && out[0].back().seq == seq - 1 &&
+               out[0].size() == (seq == 60000 ? 59999u : 60000u)));
     benchmark::DoNotOptimize(out);
   }
+  ReportHeap(state, put_allocs, 0, 0);
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TimeWindowPut);
@@ -93,19 +169,24 @@ CWEvent LrbKeyedEvent(int64_t key, int64_t ts_us, uint64_t seq) {
 
 void BM_GroupByWindowPut(benchmark::State& state) {
   const int64_t keys = state.range(0);
+  const int64_t live_before = HeapLiveBytes();
   WindowOperator op(
       WindowSpec::Tuples(4, 1).GroupBy({"k"}).DeleteUsedEvents(true));
   std::vector<Window> out;
   uint64_t seq = 0;
+  uint64_t put_allocs = 0;
   for (auto _ : state) {
     out.clear();
     ++seq;
-    CWF_CHECK(op.Put(KeyedEvent(static_cast<int64_t>(seq) % keys,
-                                static_cast<int64_t>(seq), seq),
-                     &out)
-                  .ok());
+    const CWEvent event = KeyedEvent(static_cast<int64_t>(seq) % keys,
+                                     static_cast<int64_t>(seq), seq);
+    const uint64_t allocs = HeapAllocs();
+    CWF_CHECK(op.Put(event, &out).ok());
+    put_allocs += HeapAllocs() - allocs;
     benchmark::DoNotOptimize(out);
   }
+  out = {};
+  ReportHeap(state, put_allocs, live_before, op.GroupCount());
   state.SetItemsProcessed(state.iterations());
   state.SetLabel(std::to_string(keys) + " groups");
 }
@@ -113,22 +194,27 @@ BENCHMARK(BM_GroupByWindowPut)->Arg(10)->Arg(1000)->Arg(100000);
 
 void BM_GroupByWindowPutLrbKey(benchmark::State& state) {
   const int64_t keys = state.range(0);
+  const int64_t live_before = HeapLiveBytes();
   WindowOperator op(WindowSpec::Tuples(4, 1)
                         .GroupBy({"car", "xway", "dir", "seg"})
                         .DeleteUsedEvents(true));
   std::vector<Window> out;
   uint64_t seq = 0;
+  uint64_t put_allocs = 0;
   for (auto _ : state) {
     out.clear();
     ++seq;
-    CWF_CHECK(op.Put(LrbKeyedEvent(static_cast<int64_t>(seq) % keys,
-                                   static_cast<int64_t>(seq), seq),
-                     &out)
-                  .ok());
+    const CWEvent event = LrbKeyedEvent(static_cast<int64_t>(seq) % keys,
+                                        static_cast<int64_t>(seq), seq);
+    const uint64_t allocs = HeapAllocs();
+    CWF_CHECK(op.Put(event, &out).ok());
+    put_allocs += HeapAllocs() - allocs;
     benchmark::DoNotOptimize(out);
   }
   CWF_CHECK(op.GroupCount() ==
             static_cast<size_t>(std::min<int64_t>(keys, seq)));
+  out = {};
+  ReportHeap(state, put_allocs, live_before, op.GroupCount());
   state.SetItemsProcessed(state.iterations());
   state.SetLabel(std::to_string(keys) + " groups");
 }
@@ -142,6 +228,7 @@ void BM_WindowedReceiverPut(benchmark::State& state) {
   const int64_t keys = state.range(0);
   const WindowSpec spec =
       WindowSpec::Tuples(4, 1).GroupBy({"k"}).DeleteUsedEvents(true);
+  const int64_t live_before = HeapLiveBytes();
   InputPort port(nullptr, "in", spec);
   WindowedReceiver r(&port, spec);
   uint64_t seq = 0;
@@ -149,15 +236,19 @@ void BM_WindowedReceiverPut(benchmark::State& state) {
     ++seq;
     CWF_CHECK(r.Put(KeyedEvent(k, static_cast<int64_t>(seq), seq)).ok());
   }
+  uint64_t put_allocs = 0;
   for (auto _ : state) {
     ++seq;
-    CWF_CHECK(r.Put(KeyedEvent(static_cast<int64_t>(seq) % keys,
-                               static_cast<int64_t>(seq), seq))
-                  .ok());
+    const CWEvent event = KeyedEvent(static_cast<int64_t>(seq) % keys,
+                                     static_cast<int64_t>(seq), seq);
+    const uint64_t allocs = HeapAllocs();
+    CWF_CHECK(r.Put(event).ok());
     while (r.HasWindow()) {
       benchmark::DoNotOptimize(r.Get());
     }
+    put_allocs += HeapAllocs() - allocs;
   }
+  ReportHeap(state, put_allocs, live_before, static_cast<size_t>(keys));
   state.SetItemsProcessed(state.iterations());
   state.SetLabel(std::to_string(keys) + " groups");
 }
