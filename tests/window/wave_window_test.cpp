@@ -163,6 +163,7 @@ TEST(WaveWindowTest, GroupByPartitionsWaves) {
   EXPECT_EQ(op.PendingEventCount(), 4u);
   op.Flush(&out);
   EXPECT_TRUE(out.empty());  // no *complete* waves existed per key
+  EXPECT_EQ(op.PendingEventCount(), 0u);
 }
 
 TEST(WaveWindowTest, GroupByWithPerKeyCompleteWaves) {

@@ -76,7 +76,8 @@ INSTANTIATE_TEST_SUITE_P(
                       TupleParams{2, 3, false, 20}, TupleParams{2, 3, true, 20},
                       TupleParams{5, 2, false, 33}, TupleParams{7, 7, true, 50},
                       TupleParams{10, 3, false, 100},
-                      TupleParams{3, 10, false, 100}));
+                      TupleParams{3, 10, false, 100},
+                      TupleParams{64, 1, false, 10000}));
 
 struct TimeParams {
   int64_t size_s;
